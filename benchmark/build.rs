@@ -1,0 +1,18 @@
+//! Capture the compiler version at build time so every report records the
+//! toolchain that built the measured program.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=OCPT_BENCHMARK_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
