@@ -5,7 +5,8 @@
 //! directly with wall-clock self-measurement and writes the committed
 //! `BENCH_scale.json` report: piggyback bytes per message (measured vs
 //! the dense `⌈N/8⌉` formula), control messages per round, the resolved
-//! control topology, and simulator throughput per cell.
+//! control topology, and per cell the simulator's throughput, events per
+//! application message and storage wakeups.
 
 use ocpt_bench::{scale_report_json, ExpArgs, ScaleRow};
 use ocpt_core::{ControlTopology, OcptConfig, Piggyback};
@@ -36,6 +37,7 @@ fn main() {
             group_size,
             num_groups: group_size.map(|s| (n as u64).div_ceil(s as u64)),
             sim_events: r.sim_events,
+            storage_wakeups: r.event_census.storage_done,
             wall_secs: r.wall_secs,
         });
     }

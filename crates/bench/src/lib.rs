@@ -413,6 +413,8 @@ pub struct ScaleRow {
     pub num_groups: Option<u64>,
     /// Simulator events dispatched.
     pub sim_events: u64,
+    /// Of those, `StorageDone` wakeups (the event census' storage share).
+    pub storage_wakeups: u64,
     /// Wall-clock seconds for the run.
     pub wall_secs: f64,
 }
@@ -438,7 +440,8 @@ pub fn scale_report_json(rows: &[ScaleRow], auto_topology: bool) -> String {
             "    {{\"n\": {}, \"piggy_bytes_per_msg\": {:.2}, \"dense_bytes_per_msg\": {:.2}, \
              \"piggy_savings_x\": {:.2}, \"app_messages\": {}, \"ctrl_messages\": {}, \
              \"ctrl_per_round\": {:.1}, \"rounds\": {}, \"group_size\": {}, \"num_groups\": {}, \
-             \"sim_events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}}}{sep}\n",
+             \"sim_events\": {}, \"storage_wakeups\": {}, \"events_per_app_msg\": {:.2}, \
+             \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}}}{sep}\n",
             r.n,
             r.piggy_bytes_per_msg,
             r.dense_bytes_per_msg,
@@ -450,6 +453,8 @@ pub fn scale_report_json(rows: &[ScaleRow], auto_topology: bool) -> String {
             r.group_size.map_or("null".to_string(), |s| s.to_string()),
             r.num_groups.map_or("null".to_string(), |g| g.to_string()),
             r.sim_events,
+            r.storage_wakeups,
+            r.sim_events as f64 / r.app_messages.max(1) as f64,
             r.wall_secs,
             if r.wall_secs > 0.0 { r.sim_events as f64 / r.wall_secs } else { 0.0 },
         ));
@@ -756,6 +761,7 @@ mod tests {
                 group_size: None,
                 num_groups: None,
                 sim_events: 40_000,
+                storage_wakeups: 1_300,
                 wall_secs: 0.2,
             },
             ScaleRow {
@@ -768,6 +774,7 @@ mod tests {
                 group_size: Some(317),
                 num_groups: Some(316),
                 sim_events: 900_000,
+                storage_wakeups: 200_000,
                 wall_secs: 12.0,
             },
         ];
@@ -780,6 +787,7 @@ mod tests {
         assert!(j.contains("\"group_size\": 317"));
         assert!(j.contains("\"num_groups\": 316"));
         assert!(j.contains("\"piggy_savings_x\": 625.45"));
+        assert!(j.contains("\"storage_wakeups\": 1300, \"events_per_app_msg\": 8.00"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(!j.contains(",\n  ]"));

@@ -35,5 +35,5 @@ pub use analysis::{
     LogRecoveryReport, RollbackReport,
 };
 pub use grid::{ColFmt, GridOptions, GridOutcome, RunGrid, TraceSink};
-pub use runner::{RoundStat, RunConfig, RunResult, Runner, StorageReport};
+pub use runner::{EventCensus, RoundStat, RunConfig, RunResult, Runner, StorageReport};
 pub use workload::{Pattern, PayloadSpec, Timing, WorkloadSpec, WorkloadState};

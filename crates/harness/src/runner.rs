@@ -21,6 +21,11 @@ use ocpt_storage::{CheckpointStore, StorageConfig, StorageServer, StoredCheckpoi
 
 use crate::workload::{WorkloadSpec, WorkloadState};
 
+/// Storage wakeups serve the shared server, but every event needs a
+/// target process; they are addressed here (and re-armed when this
+/// process's crash purges its events).
+const WAKEUP_ADDRESSEE: ProcessId = ProcessId::P0;
+
 /// Tick discriminators.
 const TICK_SEND: u64 = 1;
 const TICK_CKPT: u64 = 2;
@@ -189,6 +194,40 @@ impl RoundStat {
     }
 }
 
+/// Dispatched simulator events by kind. Plain integers bumped once per
+/// event in the run loop (the string-keyed [`Counters`] map is far too
+/// slow for a per-event tally).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCensus {
+    /// Message deliveries (application and control).
+    pub deliver: u64,
+    /// Workload and checkpoint-initiation ticks.
+    pub tick: u64,
+    /// Protocol timers that fired.
+    pub timer: u64,
+    /// Storage wakeups (each pumps the shared server once).
+    pub storage_done: u64,
+    /// Injected crashes and recoveries.
+    pub fault: u64,
+}
+
+impl EventCensus {
+    fn count<M>(&mut self, ev: &Event<M>) {
+        *match ev {
+            Event::Deliver { .. } => &mut self.deliver,
+            Event::Tick { .. } => &mut self.tick,
+            Event::Timer { .. } => &mut self.timer,
+            Event::StorageDone { .. } => &mut self.storage_done,
+            Event::Crash { .. } | Event::Recover { .. } => &mut self.fault,
+        } += 1;
+    }
+
+    /// All dispatched events.
+    pub fn total(&self) -> u64 {
+        self.deliver + self.tick + self.timer + self.storage_done + self.fault
+    }
+}
+
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct RunResult {
@@ -253,6 +292,9 @@ pub struct RunResult {
     pub protocol_error: Option<String>,
     /// Simulator events dispatched over the whole run.
     pub sim_events: u64,
+    /// The same events by kind (an event popped past the horizon ends the
+    /// run undispatched, so `total()` can trail `sim_events` by one).
+    pub event_census: EventCensus,
     /// Peak in-flight event population (high-water mark of the
     /// scheduler's pending count). Kind-independent: both scheduler
     /// implementations observe the same pending count at every step.
@@ -322,6 +364,13 @@ impl RunResult {
             .u64("total_bytes", self.storage.total_bytes)
             .u64("total_requests", self.storage.total_requests)
             .finish();
+        let events = Obj::new()
+            .u64("deliver", self.event_census.deliver)
+            .u64("tick", self.event_census.tick)
+            .u64("timer", self.event_census.timer)
+            .u64("storage_done", self.event_census.storage_done)
+            .u64("fault", self.event_census.fault)
+            .finish();
         Obj::new()
             .str("schema", "ocpt-metrics")
             .u64("version", 2)
@@ -343,6 +392,7 @@ impl RunResult {
             .u64("sim_events", self.sim_events)
             .u64("peak_pending", self.peak_pending)
             .u64("arena_hwm", self.arena_hwm)
+            .raw("events", &events)
             .raw("ckpt_latency", &latency)
             .raw("storage", &storage)
             .raw("counters", &counters.finish())
@@ -388,6 +438,14 @@ pub struct Runner<P: CheckpointProtocol> {
     sched: Scheduler<P::Env>,
     net: Network,
     server: StorageServer,
+    /// Instant of the one live storage wakeup in the event queue, if any.
+    /// Invariant between events: while a client waits on a write
+    /// (`pending_writes` is non-empty), a `StorageDone` is pending at this
+    /// instant, no later than 1 ns past `server.next_completion()`.
+    wakeup_at: Option<SimTime>,
+    /// Inside `pump_storage`: its tail re-arms once, so nested submits
+    /// must not.
+    pumping: bool,
     store: CheckpointStore,
     observer: Option<GlobalObserver>,
     trace: Trace,
@@ -424,6 +482,7 @@ pub struct Runner<P: CheckpointProtocol> {
     crash: Option<(ProcessId, SimTime)>,
     protocol_error: Option<String>,
     algo: &'static str,
+    census: EventCensus,
     /// Reusable action buffer: every protocol callback fills it and
     /// `execute` drains it, so the dispatch loop allocates nothing at
     /// steady state (callbacks never nest — actions only schedule).
@@ -453,6 +512,8 @@ impl<P: CheckpointProtocol> Runner<P> {
             sched: Scheduler::with_kind(cfg.scheduler),
             net: Network::new(n, cfg.sim.delay, fifo, seed),
             server: StorageServer::new(cfg.storage),
+            wakeup_at: None,
+            pumping: false,
             store: CheckpointStore::new(n),
             observer: cfg.observe.then(|| GlobalObserver::new(n)),
             trace: if cfg.trace { Trace::enabled() } else { Trace::disabled() },
@@ -483,6 +544,7 @@ impl<P: CheckpointProtocol> Runner<P> {
             procs,
             cfg,
             algo,
+            census: EventCensus::default(),
             scratch: Vec::new(),
         }
     }
@@ -561,6 +623,7 @@ impl<P: CheckpointProtocol> Runner<P> {
     /// Dispatch one popped event. Returns [`Flow::Break`] when the run
     /// loop must stop (crash with `stop_on_crash`, failed recovery).
     fn dispatch(&mut self, now: SimTime, ev: Event<P::Env>) -> Flow {
+        self.census.count(&ev);
         match ev {
             Event::Tick { pid, kind: TICK_SEND } => self.on_send_tick(now, pid),
             Event::Tick { pid, kind: TICK_CKPT } => self.on_ckpt_tick(now, pid),
@@ -585,6 +648,11 @@ impl<P: CheckpointProtocol> Runner<P> {
                 // Volatile state (unfinalized tentative checkpoints and
                 // in-memory logs) is lost.
                 self.sched.drop_events_for(pid);
+                if pid == WAKEUP_ADDRESSEE {
+                    // The purge took the shared server's wakeup with it.
+                    self.wakeup_at = None;
+                    self.arm_storage_wakeup(now);
+                }
                 if self.cfg.stop_on_crash {
                     return Flow::Break;
                 }
@@ -829,10 +897,13 @@ impl<P: CheckpointProtocol> Runner<P> {
 
         // Flush channels, timers and ticks; keep only future faults.
         self.sched.clear_except_faults();
+        self.wakeup_at = None;
         for t in &mut self.timers {
             t.clear();
         }
         // Obsolete in-flight storage work and post-line durable records.
+        // Nobody waits on the forgotten writes, so the purged wakeup is
+        // not replaced here: the next submit arms a fresh one.
         self.pending_writes.clear();
         for q in &mut self.write_queue {
             q.clear();
@@ -1054,14 +1125,37 @@ impl<P: CheckpointProtocol> Runner<P> {
             || format!("{:?} {}B writers={writers}", w.kind, w.bytes),
         );
         self.pending_writes.insert(req, w);
-        self.schedule_storage_wakeup(now);
+        self.arm_storage_wakeup(now);
     }
 
+    /// One storage wakeup: hand back what the server finished by `now`,
+    /// then re-arm for the next completion.
     fn pump_storage(&mut self, now: SimTime) {
+        // A wakeup superseded by an earlier one still fires; only the live
+        // one releases the marker.
+        if self.wakeup_at == Some(now) {
+            self.wakeup_at = None;
+        }
+        self.pumping = true;
+        self.hand_back_completions(now);
+        self.pumping = false;
+        self.arm_storage_wakeup(now);
+    }
+
+    /// Hand every write the server finished by `now` back to its client.
+    ///
+    /// After a rollback the server deliberately keeps serving writes whose
+    /// client forgot them (`pending_writes` was cleared): a real file
+    /// server cannot un-receive a request, and the obsolete work keeps
+    /// contending for bandwidth with the re-executed future. Their
+    /// completions have no one to notify and are only counted
+    /// (`storage.orphan_completions`).
+    fn hand_back_completions(&mut self, now: SimTime) {
         self.server.advance(now);
         let completions = self.server.take_completed();
         for c in completions {
             let Some(w) = self.pending_writes.remove(&c.req) else {
+                self.counters.inc("storage.orphan_completions");
                 continue;
             };
             let released = match w.kind {
@@ -1103,23 +1197,33 @@ impl<P: CheckpointProtocol> Runner<P> {
                 self.start_write(now, next);
             }
         }
-        if self.server.in_flight() > 0 {
-            self.schedule_storage_wakeup(now);
-        }
     }
 
-    /// Schedule the next storage wakeup. The completion estimate comes from
-    /// floating-point bandwidth math, so it can round to an instant a hair
-    /// *before* the write actually finishes; a +1ns margin (and never in
-    /// the past) guarantees forward progress.
-    fn schedule_storage_wakeup(&mut self, now: SimTime) {
-        if let Some(t) = self.server.next_completion() {
-            let at = (t + SimDuration::from_nanos(1)).max(now + SimDuration::from_nanos(1));
-            self.sched.schedule_at(
-                at,
-                Event::StorageDone { pid: ProcessId::P0, req: StorageReqId(u64::MAX) },
-            );
+    /// Make sure a storage wakeup is pending no later than 1 ns past the
+    /// server's next completion (and never in the past). At most one
+    /// wakeup is live: completion instants do not depend on how often the
+    /// server is polled, so an armed wakeup at or before the target
+    /// already covers it — if it fires early it completes nothing and the
+    /// pump re-arms. Only a submit that pulls the next completion *ahead*
+    /// of the armed instant schedules a second event; the superseded one
+    /// later fires as a harmless extra pump.
+    fn arm_storage_wakeup(&mut self, now: SimTime) {
+        if self.pumping {
+            return;
         }
+        let Some(t) = self.server.next_completion() else {
+            return;
+        };
+        let tick = SimDuration::from_nanos(1);
+        let at = (t + tick).max(now + tick);
+        if self.wakeup_at.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        self.wakeup_at = Some(at);
+        self.sched.schedule_at(
+            at,
+            Event::StorageDone { pid: WAKEUP_ADDRESSEE, req: StorageReqId(u64::MAX) },
+        );
     }
 
     fn maybe_durable(&mut self, now: SimTime, pid: ProcessId, seq: u64) {
@@ -1152,9 +1256,10 @@ impl<P: CheckpointProtocol> Runner<P> {
     fn finish(mut self, wall_start: std::time::Instant) -> RunResult {
         // Let any still-active storage writes complete "after the end" so
         // durability accounting is complete.
+        self.pumping = true; // no more wakeups: the queue is not read again
         while self.server.in_flight() > 0 {
             let t = self.server.next_completion().expect("in-flight implies completion");
-            self.pump_storage(t + SimDuration::from_nanos(1));
+            self.hand_back_completions(t + SimDuration::from_nanos(1));
         }
         let makespan = self.sched.now();
         let n = self.cfg.sim.n;
@@ -1235,6 +1340,7 @@ impl<P: CheckpointProtocol> Runner<P> {
             crash: self.crash,
             protocol_error: self.protocol_error,
             sim_events,
+            event_census: self.census,
             peak_pending,
             arena_hwm,
             clamped_events,

@@ -193,3 +193,48 @@ fn piggyback_and_ctrl_byte_accounting() {
         assert_eq!(r.ctrl_bytes, r.ctrl_messages * 15, "ctrl messages are 15 B");
     }
 }
+
+/// Storage wakeups are addressed to `P_0` (every event needs a target),
+/// so `P_0`'s crash purges the shared server's one live wakeup along with
+/// its own events. The runner must re-arm it: otherwise every survivor's
+/// in-flight write is handed back only when some later submit happens to
+/// arm a new wakeup.
+#[test]
+fn storage_wakeup_survives_a_p0_crash() {
+    use ocpt_sim::{Fault, FaultPlan, SimTime, TraceKind};
+    let mut cfg = base(6, 13);
+    cfg.trace = true;
+    cfg.stop_on_crash = false;
+    // Slow storage: the first round's state writes (P_0 initiates at
+    // 300 ms) share the server from 345 ms to 565 ms; at 450 ms P_0's own
+    // are durable and the five survivors' are all in flight.
+    cfg.storage = ocpt_storage::StorageConfig {
+        bandwidth_bps: 8.0 * 1024.0 * 1024.0,
+        per_request_overhead: SimDuration::from_millis(2),
+    };
+    let crash_at = SimTime::from_millis(450);
+    cfg.faults = FaultPlan::none().with(Fault { pid: ProcessId(0), at: crash_at, down_for: None });
+    let r = run(&Algo::ocpt(), cfg);
+    assert_eq!(r.crash, Some((ProcessId(0), crash_at)));
+
+    // A completion is recorded at its `Completion::at` the moment the pump
+    // hands it back, so the trace clock may run at most the wakeup's 1 ns
+    // margin ahead of it. A stalled pump shows as a `StorageDone` stamped
+    // long before the records that precede it.
+    let events = r.trace.events();
+    let mut clock = SimTime::ZERO;
+    let mut survivors_done_after_crash = 0;
+    for e in events {
+        if e.kind == TraceKind::StorageDone {
+            assert!(
+                clock <= e.at + SimDuration::from_nanos(1),
+                "{} write durable at {} handed back after {clock}",
+                e.pid,
+                e.at
+            );
+            survivors_done_after_crash += usize::from(e.pid != ProcessId(0) && e.at > crash_at);
+        }
+        clock = clock.max(e.at);
+    }
+    assert!(survivors_done_after_crash >= 3, "the crash must land mid-round");
+}

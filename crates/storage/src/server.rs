@@ -9,10 +9,35 @@
 //! exactly the effect under study — a write that would take `d` alone takes
 //! up to `k·d` under contention — while staying deterministic.
 //!
+//! # Virtual time
+//!
+//! Every active writer receives the same service, so one number describes
+//! them all: `attained`, the cumulative bytes served *per writer* since
+//! the server last went idle. A request submitted when that value is `v`
+//! is done when it reaches its **finish tag** `v + work`; the in-flight
+//! set is a min-heap keyed `(finish, req)`. `submit` and each completion
+//! cost O(log k); `next_completion` and `in_flight` are O(1).
+//!
+//! `attained` only grows at rate `B/k` while membership is fixed, so the
+//! float math is anchored at **membership-change epochs** (a submit or a
+//! completion): between two epochs nothing is stored, and the next
+//! completion instant is computed from the epoch alone. Completion
+//! instants, `busy_time` and `total_stall` are therefore a pure function
+//! of the submission history — polling `advance` more or less often
+//! cannot move them, which is what lets the driver keep a single armed
+//! wakeup instead of one per submit.
+//!
+//! Requests whose finish tags lie within `tolerance` (what one lone writer
+//! moves in 1 ns) of a completing one finish at the same instant, in
+//! `(finish, req)` order.
+//!
 //! The server is driven by the simulation loop: `submit` adds work,
 //! `advance` progresses it to the current instant, `take_completed` drains
 //! finished writes, and `next_completion` tells the driver when to look
 //! again.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use ocpt_metrics::{StepSeries, Summary};
 use ocpt_sim::{ProcessId, SimDuration, SimTime, StorageReqId};
@@ -28,15 +53,34 @@ pub struct Completion {
     pub at: SimTime,
 }
 
-#[derive(Clone, Debug)]
+/// One in-flight request, ordered by `(finish, req)`.
+#[derive(Clone, Copy, Debug)]
 struct Active {
+    /// Finish tag: the per-writer attained service at which this request
+    /// is done (`attained` at submit + its work, overhead included).
+    finish: f64,
     req: StorageReqId,
     pid: ProcessId,
-    /// Remaining work in bytes (includes the overhead surcharge).
-    remaining: f64,
     submitted: SimTime,
     /// Contention-free duration for this request (for stall accounting).
     ideal: SimDuration,
+}
+
+impl PartialEq for Active {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Active {}
+impl PartialOrd for Active {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Active {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.finish.total_cmp(&other.finish).then(self.req.cmp(&other.req))
+    }
 }
 
 /// Configuration of the storage server.
@@ -66,19 +110,26 @@ impl StorageConfig {
 #[derive(Debug)]
 pub struct StorageServer {
     cfg: StorageConfig,
-    /// Work below this many bytes counts as finished: the amount one
-    /// writer can move in 1 ns. Guarantees every non-finished request is
-    /// at least 1 ns from completion, so the simulation always advances.
+    /// Finish tags within this many bytes of a completing request's count
+    /// as finished with it: the amount one lone writer moves in 1 ns.
     tolerance: f64,
-    active: Vec<Active>,
+    /// In-flight requests, earliest `(finish, req)` first.
+    active: BinaryHeap<Reverse<Active>>,
+    /// Instant of the last membership change (submit or completion).
+    epoch_at: SimTime,
+    /// Per-writer attained service at `epoch_at`; 0 whenever idle.
+    attained: f64,
     last_advance: SimTime,
     completed: Vec<Completion>,
+    /// Epoch moves plus completions: all the work `advance` ever did.
+    steps: u64,
     // --- metrics ---
     writers: StepSeries,
     latency: Summary,
     stall: SimDuration,
     total_bytes: u64,
     total_requests: u64,
+    /// Busy time of closed epochs (up to `epoch_at`).
     busy: SimDuration,
 }
 
@@ -89,9 +140,12 @@ impl StorageServer {
         StorageServer {
             cfg,
             tolerance: (cfg.bandwidth_bps * 1e-9).max(1e-6),
-            active: Vec::new(),
+            active: BinaryHeap::new(),
+            epoch_at: SimTime::ZERO,
+            attained: 0.0,
             last_advance: SimTime::ZERO,
             completed: Vec::new(),
+            steps: 0,
             writers: StepSeries::new(),
             latency: Summary::new(),
             stall: SimDuration::ZERO,
@@ -104,77 +158,93 @@ impl StorageServer {
     /// Submit a write of `bytes` at `now`.
     pub fn submit(&mut self, now: SimTime, pid: ProcessId, req: StorageReqId, bytes: u64) {
         self.advance(now);
+        self.move_epoch(now);
         let work = bytes as f64 + self.cfg.overhead_bytes();
         let ideal = SimDuration::from_secs_f64(work / self.cfg.bandwidth_bps);
-        self.active.push(Active { req, pid, remaining: work, submitted: now, ideal });
+        let finish = self.attained + work;
+        self.active.push(Reverse(Active { finish, req, pid, submitted: now, ideal }));
         self.total_bytes += bytes;
         self.total_requests += 1;
         self.writers.add(now.as_nanos(), 1);
     }
 
     /// Progress all active requests to `now`, completing those that finish.
+    ///
+    /// Only completions move the server's state, so calling this at extra
+    /// instants changes nothing observable.
     pub fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_advance, "storage time went backwards");
-        let mut t = self.last_advance;
-        self.complete_done(t);
-        while !self.active.is_empty() && t < now {
-            let k = self.active.len() as f64;
-            // Time until the request with the least remaining work finishes,
-            // if membership stays fixed.
-            let min_rem = self.active.iter().map(|a| a.remaining).fold(f64::INFINITY, f64::min);
-            let to_finish = SimDuration::from_secs_f64(min_rem * k / self.cfg.bandwidth_bps);
-            let window = now - t;
-            let step = to_finish.min(window);
-            let progressed = self.cfg.bandwidth_bps * step.as_secs_f64() / k;
-            for a in &mut self.active {
-                a.remaining -= progressed;
-            }
-            self.busy += step;
-            t += step;
-            self.complete_done(t);
+        while let Some(t) = self.next_completion().filter(|&t| t <= now) {
+            self.complete_at(t);
         }
         self.last_advance = now;
     }
 
-    /// Complete everything that hit (or numerically crossed) zero.
-    fn complete_done(&mut self, t: SimTime) {
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].remaining <= self.tolerance {
-                let a = self.active.swap_remove(i);
-                let took = t.saturating_since(a.submitted);
-                self.latency.record(took.as_secs_f64());
-                self.stall += took - a.ideal;
-                self.writers.add(t.as_nanos(), -1);
-                self.completed.push(Completion { req: a.req, pid: a.pid, at: t });
-            } else {
-                i += 1;
+    /// Close the current epoch at `t`: charge the service every active
+    /// writer attained since `epoch_at`, and the busy time.
+    fn move_epoch(&mut self, t: SimTime) {
+        if t > self.epoch_at && !self.active.is_empty() {
+            let span = t - self.epoch_at;
+            let k = self.active.len() as f64;
+            self.attained += self.cfg.bandwidth_bps * span.as_secs_f64() / k;
+            self.busy += span;
+        }
+        self.epoch_at = t;
+        self.steps += 1;
+    }
+
+    /// Complete the earliest request at its completion instant `t`, and
+    /// with it every request within `tolerance` of done.
+    fn complete_at(&mut self, t: SimTime) {
+        self.move_epoch(t);
+        let horizon = self.attained + self.tolerance;
+        // The head is due by construction (`t` was computed for it); the
+        // rounding of `t` to whole nanoseconds leaves it within tolerance.
+        debug_assert!(self.active.peek().is_some_and(|head| head.0.finish <= horizon));
+        while let Some(Reverse(a)) = self.active.pop() {
+            self.steps += 1;
+            let took = t.saturating_since(a.submitted);
+            self.latency.record(took.as_secs_f64());
+            self.stall += took - a.ideal;
+            self.writers.add(t.as_nanos(), -1);
+            self.completed.push(Completion { req: a.req, pid: a.pid, at: t });
+            if !self.active.peek().is_some_and(|next| next.0.finish <= horizon) {
+                break;
             }
+        }
+        if self.active.is_empty() {
+            self.attained = 0.0;
         }
     }
 
     /// Drain writes that completed during past `advance` calls, in
-    /// completion order.
+    /// completion order (ties in `(finish, req)` order).
     pub fn take_completed(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completed)
     }
 
     /// When the earliest active request will finish if nothing else arrives.
     pub fn next_completion(&self) -> Option<SimTime> {
-        if self.active.is_empty() {
-            return None;
+        let Reverse(head) = self.active.peek()?;
+        let remaining = head.finish - self.attained;
+        if remaining <= self.tolerance {
+            return Some(self.epoch_at);
         }
         let k = self.active.len() as f64;
-        let min_rem = self.active.iter().map(|a| a.remaining).fold(f64::INFINITY, f64::min);
-        if min_rem <= self.tolerance {
-            return Some(self.last_advance);
-        }
-        Some(self.last_advance + SimDuration::from_secs_f64(min_rem * k / self.cfg.bandwidth_bps))
+        Some(self.epoch_at + SimDuration::from_secs_f64(remaining * k / self.cfg.bandwidth_bps))
     }
 
     /// Number of writes in flight.
     pub fn in_flight(&self) -> usize {
         self.active.len()
+    }
+
+    /// Epoch moves plus completions performed so far — the total work of
+    /// every `advance`/`submit`, for tests that pin the complexity: it is
+    /// bounded by `3 × total_requests` however often the server is polled.
+    #[doc(hidden)]
+    pub fn advance_steps(&self) -> u64 {
+        self.steps
     }
 
     // --- metrics accessors ---
@@ -214,9 +284,14 @@ impl StorageServer {
         self.total_requests
     }
 
-    /// Total time the server was serving at least one request.
+    /// Total time the server was serving at least one request, up to the
+    /// last `advance`.
     pub fn busy_time(&self) -> SimDuration {
-        self.busy
+        if self.active.is_empty() {
+            self.busy
+        } else {
+            self.busy + (self.last_advance - self.epoch_at)
+        }
     }
 
     /// The raw concurrent-writers series (for plotting).

@@ -42,21 +42,33 @@ pub struct CheckpointStore {
     n: usize,
     /// `(csn, pid)` ordering gives cheap per-csn scans.
     items: BTreeMap<(u64, u32), StoredCheckpoint>,
+    /// Records held per `csn` (no entry for a count of zero).
+    durable: BTreeMap<u64, usize>,
+    /// Cached recovery line: greatest `csn > 0` whose count is `n`.
+    line: u64,
     gc_below: u64,
 }
 
 impl CheckpointStore {
     /// A store for `n` processes.
     pub fn new(n: usize) -> Self {
-        CheckpointStore { n, items: BTreeMap::new(), gc_below: 0 }
+        CheckpointStore { n, ..Default::default() }
     }
 
     /// Record a checkpoint as durable. Overwriting the same `(pid, csn)` is
     /// a protocol error and panics in debug builds.
     pub fn put(&mut self, ckpt: StoredCheckpoint) {
-        let key = (ckpt.csn, ckpt.pid.0);
+        let csn = ckpt.csn;
+        let key = (csn, ckpt.pid.0);
         let prev = self.items.insert(key, ckpt);
         debug_assert!(prev.is_none(), "duplicate durable checkpoint {key:?}");
+        if prev.is_none() {
+            let count = self.durable.entry(csn).or_insert(0);
+            *count += 1;
+            if *count == self.n && csn > self.line {
+                self.line = csn;
+            }
+        }
     }
 
     /// Fetch a durable checkpoint.
@@ -66,23 +78,23 @@ impl CheckpointStore {
 
     /// How many processes have a durable checkpoint with this `csn`.
     pub fn durable_count(&self, csn: u64) -> usize {
-        self.items.range((csn, 0)..=(csn, u32::MAX)).count()
+        self.durable.get(&csn).copied().unwrap_or(0)
     }
 
     /// The recovery line: greatest `csn` durable on **all** processes.
     ///
     /// Sequence number 0 (the initial checkpoints) is assumed durable by
-    /// construction, so the line is always defined.
+    /// construction, so the line is always defined. O(1): `put` advances
+    /// the cached line when a `csn`'s count reaches `n`, and the two
+    /// deleting operations re-derive it from the per-`csn` counts.
     pub fn recovery_line(&self) -> u64 {
-        let mut line = 0;
-        let mut csns: Vec<u64> = self.items.keys().map(|&(c, _)| c).collect();
-        csns.dedup();
-        for csn in csns {
-            if csn > 0 && self.durable_count(csn) == self.n {
-                line = line.max(csn);
-            }
-        }
-        line
+        self.line
+    }
+
+    /// Greatest complete `csn > 0` still held, from the per-`csn` counts.
+    fn scan_line(&self) -> u64 {
+        let complete = |(&csn, &count): (&u64, &usize)| (csn > 0 && count == self.n).then_some(csn);
+        self.durable.iter().rev().find_map(complete).unwrap_or(0)
     }
 
     /// The most recent durable checkpoint of `pid` with `csn ≤ bound`.
@@ -94,8 +106,12 @@ impl CheckpointStore {
     /// the number of records collected.
     pub fn gc_below(&mut self, line: u64) -> usize {
         let before = self.items.len();
-        self.items.retain(|&(csn, _), _| csn >= line);
+        self.items = self.items.split_off(&(line, 0));
+        self.durable = self.durable.split_off(&line);
         self.gc_below = self.gc_below.max(line);
+        if self.line < line {
+            self.line = self.scan_line();
+        }
         before - self.items.len()
     }
 
@@ -104,7 +120,13 @@ impl CheckpointStore {
     /// events with the re-executed future. Returns the number dropped.
     pub fn truncate_above(&mut self, line: u64) -> usize {
         let before = self.items.len();
-        self.items.retain(|&(csn, _), _| csn <= line);
+        if let Some(above) = line.checked_add(1) {
+            self.items.split_off(&(above, 0));
+            self.durable.split_off(&above);
+        }
+        if self.line > line {
+            self.line = self.scan_line();
+        }
         before - self.items.len()
     }
 
@@ -198,6 +220,49 @@ mod tests {
         // Re-inserting a truncated (pid, csn) is now legal.
         s.put(ck(0, 2, 9));
         assert!(s.get(ProcessId(0), 2).is_some());
+    }
+
+    /// The definition the cached line replaced: scan every record.
+    fn full_scan_line(s: &CheckpointStore) -> u64 {
+        let mut held: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(csn, _) in s.items.keys() {
+            *held.entry(csn).or_insert(0) += 1;
+        }
+        held.iter()
+            .filter(|&(&csn, &c)| csn > 0 && c == s.n)
+            .map(|(&csn, _)| csn)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn cached_line_matches_full_scan_under_put_truncate_gc() {
+        let n = 3;
+        let mut rng = ocpt_sim::SimRng::derive(7, 0x570E);
+        for _ in 0..200 {
+            let mut s = CheckpointStore::new(n);
+            for step in 0..60 {
+                match rng.next_usize_below(10) {
+                    0 => {
+                        s.truncate_above(rng.next_usize_below(8) as u64);
+                    }
+                    1 => {
+                        s.gc_below(rng.next_usize_below(8) as u64);
+                    }
+                    _ => {
+                        let (pid, csn) = (rng.next_usize_below(n), rng.next_usize_below(8));
+                        if s.get(ProcessId(pid as u32), csn as u64).is_none() {
+                            s.put(ck(pid as u32, csn as u64, step));
+                        }
+                    }
+                }
+                assert_eq!(s.recovery_line(), full_scan_line(&s));
+                for csn in 0..8 {
+                    let held = s.items.range((csn, 0)..=(csn, u32::MAX)).count();
+                    assert_eq!(s.durable_count(csn), held);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,70 @@
 //! of work, fairness, and ordering invariants under random workloads.
 
 use ocpt_sim::{ProcessId, SimDuration, SimTime, StorageReqId};
-use ocpt_storage::{StorageConfig, StorageServer};
+use ocpt_storage::{Completion, StorageConfig, StorageServer};
 use proptest::prelude::*;
 
 fn cfg(bps: f64) -> StorageConfig {
     StorageConfig { bandwidth_bps: bps, per_request_overhead: SimDuration::ZERO }
 }
+
+/// The O(k) model the virtual-time server replaced, kept here as the
+/// oracle: per-request remaining work, decremented at every step, with a
+/// scan for the minimum. Its float state depends on how often it is
+/// polled; the server's must not.
+struct Reference {
+    bps: f64,
+    tolerance: f64,
+    active: Vec<(u64, f64)>,
+    t: SimTime,
+    done: Vec<(u64, SimTime)>,
+}
+
+impl Reference {
+    fn new(bps: f64) -> Self {
+        let tolerance = (bps * 1e-9).max(1e-6);
+        Reference { bps, tolerance, active: Vec::new(), t: SimTime::ZERO, done: Vec::new() }
+    }
+
+    fn submit(&mut self, now: SimTime, req: u64, bytes: u64) {
+        self.advance(now);
+        self.active.push((req, bytes as f64));
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        self.reap();
+        while !self.active.is_empty() && self.t < now {
+            let k = self.active.len() as f64;
+            let min_rem = self.active.iter().map(|a| a.1).fold(f64::INFINITY, f64::min);
+            let step = SimDuration::from_secs_f64(min_rem * k / self.bps).min(now - self.t);
+            let progressed = self.bps * step.as_secs_f64() / k;
+            self.active.iter_mut().for_each(|a| a.1 -= progressed);
+            self.t += step;
+            self.reap();
+        }
+        self.t = now;
+    }
+
+    fn reap(&mut self) {
+        let (t, tolerance) = (self.t, self.tolerance);
+        let (finished, active): (Vec<_>, Vec<_>) =
+            self.active.drain(..).partition(|&(_, rem)| rem <= tolerance);
+        self.active = active;
+        self.done.extend(finished.into_iter().map(|(req, _)| (req, t)));
+    }
+}
+
+/// One step of a random schedule: wait `gap_us`, then submit `Some(bytes)`
+/// or just poll.
+type Op = (u64, Option<u64>);
+
+fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u64..40_000, prop_oneof![(1u64..200_000).prop_map(Some), Just(None)]);
+    prop::collection::vec(op, 1..max)
+}
+
+/// Far enough ahead that every write of a schedule has finished.
+const DRAINED: SimTime = SimTime::from_secs(1_000_000);
 
 proptest! {
     /// Every submitted request eventually completes, exactly once.
@@ -86,6 +144,121 @@ proptest! {
         prop_assert_eq!(s.peak_writers(), 1);
         prop_assert!(s.total_stall().as_secs_f64() < 1e-6 * bytes.len() as f64);
     }
+
+    /// The server agrees with the deleted O(k) implementation's arithmetic:
+    /// the same completions, each list in time order, instants within 1 ns.
+    ///
+    /// Gaps are whole microseconds, k stays below 40 and the bandwidth is
+    /// not a round number, so no finish tag sits exactly `tolerance` past
+    /// another — on that knife edge float noise decides whether two writes
+    /// finish together, and the models may differ by up to k ns.
+    #[test]
+    fn matches_the_scanning_reference_model(schedule in ops(40)) {
+        let bps = 1_234_567.0;
+        let mut s = StorageServer::new(cfg(bps));
+        let mut r = Reference::new(bps);
+        let mut t = SimTime::ZERO;
+        for (i, (gap_us, bytes)) in schedule.iter().enumerate() {
+            t += SimDuration::from_micros(*gap_us);
+            match bytes {
+                Some(b) => {
+                    s.submit(t, ProcessId(0), StorageReqId(i as u64), *b);
+                    r.submit(t, i as u64, *b);
+                }
+                None => {
+                    s.advance(t);
+                    r.advance(t);
+                }
+            }
+        }
+        s.advance(DRAINED);
+        r.advance(DRAINED);
+        let got = s.take_completed();
+        prop_assert_eq!(got.len(), r.done.len());
+        prop_assert!(got.windows(2).all(|w| w[0].at <= w[1].at), "server out of time order");
+        prop_assert!(r.done.windows(2).all(|w| w[0].1 <= w[1].1), "reference out of time order");
+        for c in &got {
+            let Some(&(_, at)) = r.done.iter().find(|d| d.0 == c.req.0) else {
+                return Err(TestCaseError::fail(format!("{:?} never finished in the reference", c.req)));
+            };
+            let apart = c.at.saturating_since(at) + at.saturating_since(c.at);
+            prop_assert!(apart <= SimDuration::from_nanos(1), "{:?}: {} vs {}", c.req, c.at, at);
+        }
+    }
+
+    /// Polling invariance, the property the runner's single wakeup rests
+    /// on: extra `advance` calls at arbitrary instants change nothing —
+    /// completions, busy time and stall are *exactly* equal.
+    #[test]
+    fn extra_polls_change_nothing(schedule in ops(60)) {
+        let drive = |polled: bool| {
+            let mut s = StorageServer::new(StorageConfig::default_nfs());
+            let mut t = SimTime::ZERO;
+            let mut done: Vec<Completion> = Vec::new();
+            for (i, (gap_us, bytes)) in schedule.iter().enumerate() {
+                t += SimDuration::from_micros(*gap_us);
+                match bytes {
+                    Some(b) => s.submit(t, ProcessId((i % 5) as u32), StorageReqId(i as u64), *b),
+                    None if polled => {
+                        s.advance(t);
+                        done.extend(s.take_completed());
+                    }
+                    None => {}
+                }
+            }
+            while let Some(at) = s.next_completion().filter(|_| polled) {
+                s.advance(at);
+                done.extend(s.take_completed());
+            }
+            s.advance(DRAINED);
+            done.extend(s.take_completed());
+            (done, s.busy_time(), s.total_stall(), s.latency().mean())
+        };
+        prop_assert_eq!(drive(true), drive(false));
+    }
+}
+
+/// Equal finish tags complete in request order, whatever the submission
+/// order was.
+#[test]
+fn ties_complete_in_request_order() {
+    let mut s = StorageServer::new(cfg(1000.0));
+    for req in [3, 1, 2] {
+        s.submit(SimTime::ZERO, ProcessId(req as u32), StorageReqId(req), 500);
+    }
+    s.advance(DRAINED);
+    let done = s.take_completed();
+    assert_eq!(done.iter().map(|c| c.req.0).collect::<Vec<_>>(), vec![1, 2, 3]);
+    assert!(done.iter().all(|c| c.at == SimTime::from_millis(1500)));
+}
+
+/// A same-instant storm of k = 10⁵ writers, all of different sizes (so
+/// every completion is its own epoch), drained one wakeup per completion.
+/// The scanning model needs ~k² = 10¹⁰ steps for this and would hang the
+/// test; the heap needs a bounded number per request however it is polled.
+#[test]
+fn hundred_thousand_writer_storm_drains_in_linear_steps() {
+    let k = 100_000u64;
+    let mut s = StorageServer::new(StorageConfig::default_nfs());
+    for i in 0..k {
+        s.submit(SimTime::ZERO, ProcessId(i as u32), StorageReqId(i), 4096 + 64 * i);
+    }
+    assert_eq!(s.in_flight(), k as usize);
+    assert_eq!(s.peak_writers(), k as i64);
+    let mut wakeups = 0u64;
+    let mut last = SimTime::ZERO;
+    while let Some(at) = s.next_completion() {
+        s.advance(at);
+        wakeups += 1;
+        for c in s.take_completed() {
+            assert!(c.at >= last && c.at <= at);
+            last = c.at;
+        }
+    }
+    assert_eq!(s.in_flight(), 0);
+    assert_eq!(s.latency().count(), k);
+    assert!(wakeups <= k, "a wakeup at next_completion() always completes something");
+    assert!(s.advance_steps() <= 3 * k, "{} steps for {k} writes", s.advance_steps());
 }
 
 /// Shorter jobs always finish no later than longer jobs submitted at the
