@@ -1,7 +1,9 @@
 //! A small, dependency-free command-line parser for the `ocpt` binary.
 //!
-//! Flags are `--key value` (or bare `--flag` for booleans); unknown flags
-//! abort with usage. Arguments that don't start with `--` are collected
+//! Flags are `--key value` (or bare `--flag` for booleans). The parser
+//! itself knows no option names: each subcommand declares the options it
+//! reads through [`Args::expect_only`], and anything else is an error
+//! naming the option. Arguments that don't start with `--` are collected
 //! as positionals (after the leading subcommand) — `ocpt trace summary
 //! FILE` uses them. Kept deliberately simple — the CLI is a front door,
 //! not a framework.
@@ -69,6 +71,19 @@ impl Args {
         &self.positionals
     }
 
+    /// Reject every option or flag that is not in `known` (names without
+    /// the `--`), so a typo such as `--interval` for `--interval-ms` is
+    /// an error instead of a silently applied default.
+    pub fn expect_only(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.flags.iter().chain(self.opts.keys()).find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(k) => Err(ArgError(format!(
+                "unknown option --{k} for `ocpt {}` (`ocpt help` lists the options it reads)",
+                self.command
+            ))),
+        }
+    }
+
     /// A boolean flag's presence.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -79,12 +94,16 @@ impl Args {
         self.opts.get(name).map(String::as_str)
     }
 
+    /// A parsed option, `None` when absent.
+    pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+        let parse =
+            |v: &String| v.parse().map_err(|_| ArgError(format!("--{name}: cannot parse {v:?}")));
+        self.opts.get(name).map(parse).transpose()
+    }
+
     /// A parsed option with default.
     pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.opts.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError(format!("--{name}: cannot parse {v:?}"))),
-        }
+        Ok(self.opt(name)?.unwrap_or(default))
     }
 }
 

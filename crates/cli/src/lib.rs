@@ -4,6 +4,7 @@
 //! ocpt run --algo ocpt --n 8 --gap-ms 5 --interval-ms 500 --svg run.svg
 //! ocpt compare --n 16
 //! ocpt recover --n 8 --crash-ms 1500 --live
+//! ocpt exp all --quick --jobs 2 --report-json report.jsonl
 //! ocpt algos
 //! ```
 //!
@@ -15,10 +16,14 @@
 
 pub mod args;
 
-use ocpt_core::OcptConfig;
+use std::fmt::Write as _;
+use std::io::Write;
+
+use ocpt_core::LoggingKind;
+use ocpt_harness::experiments::{Scale, CATALOG};
 use ocpt_harness::{
-    coordinated_rollback, domino_rollback, run, verify_restored_states, Algo, RunConfig, RunResult,
-    WorkloadSpec,
+    coordinated_rollback, domino_rollback, run, verify_restored_states, Algo, GridOptions,
+    RunConfig, RunResult, TraceSink, WorkloadSpec,
 };
 use ocpt_metrics::{f2, Table};
 use ocpt_sim::{FaultPlan, ProcessId, SimDuration, SimTime, Topology};
@@ -31,24 +36,41 @@ pub const BOOL_FLAGS: &[&str] = &["trace", "quick", "live", "csv", "diagram", "j
 /// The `ocpt trace` subcommands, for usage and error text.
 const TRACE_SUBCOMMANDS: &str = "summary | diff | grep | timeline | critical-path | flame | health";
 
+/// The options [`build_config`] reads (shared by `run`, `compare` and
+/// `recover`).
+const CONFIG_OPTS: &[&str] =
+    &["n", "seed", "gap-ms", "interval-ms", "duration-ms", "state-kb", "topology"];
+
 /// Entry point used by `main` (and by tests): dispatch a parsed command,
-/// returning the rendered output.
-pub fn dispatch(args: &Args) -> Result<String, ArgError> {
-    // Only `trace` takes operands; elsewhere a stray positional is a typo.
-    if args.command != "trace" {
-        if let Some(p) = args.positional(0) {
-            return Err(ArgError(format!("unexpected positional argument {p:?}")));
-        }
+/// writing what it prints to `out` — `exp` section by section as each
+/// experiment finishes, the others in one piece.
+pub fn dispatch(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
+    // Only `trace` and `exp` take operands; elsewhere a stray positional
+    // is a typo.
+    let operands = match args.command.as_str() {
+        "trace" => usize::MAX,
+        "exp" => 1,
+        _ => 0,
+    };
+    if let Some(p) = args.positionals().get(operands) {
+        return Err(ArgError(format!("unexpected positional argument {p:?}")));
     }
-    match args.command.as_str() {
+    let text = match args.command.as_str() {
         "run" => cmd_run(args),
         "compare" => cmd_compare(args),
         "recover" => cmd_recover(args),
         "trace" => cmd_trace(args),
-        "algos" => Ok(cmd_algos()),
-        "" | "help" => Ok(usage()),
+        "exp" => return cmd_exp(args, out),
+        "algos" => args.expect_only(&[]).map(|()| cmd_algos()),
+        "" | "help" => args.expect_only(&[]).map(|()| usage()),
         other => Err(ArgError(format!("unknown command {other:?}\n\n{}", usage()))),
-    }
+    }?;
+    out.write_all(text.as_bytes()).map_err(write_err("stdout"))
+}
+
+/// An I/O failure while writing `what`, as the error `main` prints.
+fn write_err(what: &str) -> impl Fn(std::io::Error) -> ArgError + '_ {
+    move |e| ArgError(format!("writing {what}: {e}"))
 }
 
 /// The usage text.
@@ -56,11 +78,14 @@ pub fn usage() -> String {
     "ocpt — optimistic checkpointing with selective message logging (IPDPS 2007)\n\
      \n\
      USAGE:\n\
-       ocpt run     [--algo NAME] [--n N] [--seed S] [--gap-ms G] [--interval-ms I]\n\
-                    [--duration-ms D] [--state-kb K] [--topology mesh|ring|star|grid]\n\
-                    [--trace] [--diagram] [--svg FILE] [--trace-json FILE]\n\
-       ocpt compare [--n N] [--seed S] [--gap-ms G] [--interval-ms I] [--csv]\n\
-       ocpt recover [--n N] [--seed S] [--crash-ms T] [--live]\n\
+       ocpt run     [CONFIG] [--algo NAME] [--trace] [--diagram] [--svg FILE]\n\
+                    [--trace-json FILE]\n\
+       ocpt compare [CONFIG] [--csv]\n\
+       ocpt recover [CONFIG] [--crash-ms T] [--live]\n\
+       ocpt exp     ID | all | list   (the reconstructed evaluation; `list` names the IDs)\n\
+                    [--quick] [--csv] [--seed S] [--jobs N|0=auto] [--replicates R]\n\
+                    [--strategy selective|sender|receiver|causal]\n\
+                    [--trace-out DIR] [--report-json FILE]\n\
        ocpt trace   summary FILE\n\
        ocpt trace   diff A B [--context N]\n\
        ocpt trace   grep FILE [--pid P] [--kind K] [--code PREFIX]\n\
@@ -69,7 +94,11 @@ pub fn usage() -> String {
        ocpt trace   critical-path FILE\n\
        ocpt trace   flame FILE\n\
        ocpt trace   health FILE [--json]\n\
-       ocpt algos\n"
+       ocpt algos\n\
+     \n\
+     CONFIG: [--n N] [--seed S] [--gap-ms G] [--interval-ms I] [--duration-ms D]\n\
+             [--state-kb K] [--topology mesh|ring|star|grid]\n\
+     An option a subcommand does not read is an error.\n"
         .to_string()
 }
 
@@ -126,7 +155,6 @@ fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
 
 fn report(r: &RunResult) -> String {
     let mut s = String::new();
-    use std::fmt::Write as _;
     let _ = writeln!(s, "algorithm          {}", r.algo);
     let _ = writeln!(s, "processes          {}", r.n);
     let _ = writeln!(s, "virtual makespan   {}", r.makespan);
@@ -165,6 +193,7 @@ fn report(r: &RunResult) -> String {
 }
 
 fn cmd_run(args: &Args) -> Result<String, ArgError> {
+    args.expect_only(&[CONFIG_OPTS, &["algo", "trace", "diagram", "svg", "trace-json"]].concat())?;
     let algo = parse_algo(args.get("algo").unwrap_or("ocpt"))?;
     let cfg = build_config(args)?;
     let n = cfg.sim.n;
@@ -175,13 +204,11 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
         out.push_str(&r.trace.ascii_diagram(n));
     }
     if let Some(path) = args.get("svg") {
-        std::fs::write(path, r.trace.to_svg(n))
-            .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
+        std::fs::write(path, r.trace.to_svg(n)).map_err(write_err(path))?;
         out.push_str(&format!("\nspace-time diagram written to {path}\n"));
     }
     if let Some(path) = args.get("trace-json") {
-        std::fs::write(path, r.trace_jsonl())
-            .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
+        std::fs::write(path, r.trace_jsonl()).map_err(write_err(path))?;
         out.push_str(&format!("\nflight-recorder trace written to {path}\n"));
     }
     Ok(out)
@@ -194,22 +221,22 @@ fn load_trace(path: &str) -> Result<ocpt_telemetry::TraceFile, ArgError> {
 }
 
 fn cmd_trace(args: &Args) -> Result<String, ArgError> {
+    let sub = args.positional(0).unwrap_or("");
     let operand = |i: usize, name: &str| {
-        args.positional(i).map(str::to_string).ok_or_else(|| {
-            ArgError(format!(
-                "ocpt trace {}: missing {name} operand",
-                args.positional(0).unwrap_or("")
-            ))
-        })
+        args.positional(i)
+            .ok_or_else(|| ArgError(format!("ocpt trace {sub}: missing {name} operand")))
+    };
+    // A subcommand's trace FILE, once `opts` cover every option given.
+    let open = |opts: &[&str]| {
+        args.expect_only(opts)?;
+        load_trace(operand(1, "FILE")?)
     };
     match args.positional(0) {
-        Some("summary") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
-            Ok(ocpt_telemetry::summary(&f))
-        }
+        Some("summary") => Ok(ocpt_telemetry::summary(&open(&[])?)),
         Some("diff") => {
-            let a = load_trace(&operand(1, "A")?)?;
-            let b = load_trace(&operand(2, "B")?)?;
+            args.expect_only(&["context"])?;
+            let a = load_trace(operand(1, "A")?)?;
+            let b = load_trace(operand(2, "B")?)?;
             let context: usize = args.num("context", 3)?;
             Ok(match ocpt_telemetry::diff(&a, &b, context) {
                 ocpt_telemetry::DiffReport::Identical => {
@@ -220,14 +247,9 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             })
         }
         Some("grep") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
-            // `num` returns its default when the flag is absent, so gate
-            // each parse on presence to keep "unset" distinct from 0.
+            let f = open(&["pid", "kind", "code", "after", "before", "from-ms", "to-ms"])?;
             let ms_flag = |name: &str| -> Result<Option<u64>, ArgError> {
-                match args.get(name) {
-                    None => Ok(None),
-                    Some(_) => Ok(Some((args.num::<f64>(name, 0.0)? * 1e6) as u64)),
-                }
+                Ok(args.opt::<f64>(name)?.map(|ms| (ms * 1e6) as u64))
             };
             // `--after`/`--before` are the sim-time window (milliseconds,
             // inclusive/exclusive like the filter); `--from-ms`/`--to-ms`
@@ -238,10 +260,7 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
                 (x, y) => x.or(y),
             };
             let filter = ocpt_telemetry::GrepFilter {
-                pid: match args.get("pid") {
-                    None => None,
-                    Some(_) => Some(args.num("pid", 0u32)?),
-                },
+                pid: args.opt("pid")?,
                 kind: args.get("kind").map(str::to_string),
                 code_prefix: args.get("code").map(str::to_string),
                 from_nanos: merge(ms_flag("after")?, ms_flag("from-ms")?, u64::max),
@@ -249,7 +268,6 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             };
             let hits = ocpt_telemetry::grep(&f, &filter);
             let mut out = String::new();
-            use std::fmt::Write as _;
             for r in &hits {
                 let _ = writeln!(out, "{}", ocpt_telemetry::render_rec(r));
             }
@@ -257,7 +275,7 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             Ok(out)
         }
         Some("timeline") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
+            let f = open(&["buckets", "json"])?;
             let buckets: usize = args.num("buckets", ocpt_telemetry::DEFAULT_BUCKETS)?;
             if buckets == 0 {
                 return Err(ArgError("--buckets must be at least 1".into()));
@@ -265,17 +283,10 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             let t = ocpt_telemetry::timeline(&f, buckets);
             Ok(if args.flag("json") { t.to_json() } else { t.render() })
         }
-        Some("critical-path") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
-            Ok(ocpt_telemetry::critical_path(&f).render())
-        }
-        Some("flame") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
-            Ok(ocpt_telemetry::critical_path(&f).to_folded())
-        }
+        Some("critical-path") => Ok(ocpt_telemetry::critical_path(&open(&[])?).render()),
+        Some("flame") => Ok(ocpt_telemetry::critical_path(&open(&[])?).to_folded()),
         Some("health") => {
-            let f = load_trace(&operand(1, "FILE")?)?;
-            let h = ocpt_telemetry::health(&f);
+            let h = ocpt_telemetry::health(&open(&["json"])?);
             Ok(if args.flag("json") { h.to_json() } else { h.render() })
         }
         Some(other) => {
@@ -285,7 +296,82 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
     }
 }
 
+/// The options `ocpt exp` reads.
+const EXP_OPTS: &[&str] =
+    &["quick", "csv", "seed", "jobs", "replicates", "strategy", "trace-out", "report-json"];
+
+/// `ocpt exp <id|all|list>`: run catalog experiments through the grid
+/// engine, each cell exactly once. Stdout is the tables (and CSV), a pure
+/// function of `(id, scale, seed, replicates, strategy)` — byte-identical
+/// for any `--jobs`; the wall-clock self-measurement goes only into the
+/// `--report-json` file. Both are written as each experiment finishes, so
+/// a failure in a late one loses nothing already computed.
+fn cmd_exp(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
+    args.expect_only(EXP_OPTS)?;
+    let scale = if args.flag("quick") { Scale::Quick } else { Scale::Full };
+    let seed: u64 = args.num("seed", 42)?;
+    let which = args.positional(0).unwrap_or("");
+    let selected: Vec<_> = match which {
+        "list" => {
+            return CATALOG.iter().try_for_each(|e| {
+                writeln!(out, "{:<7} {}", e.id(), e.grid(Scale::Quick, seed, None).title())
+                    .map_err(write_err("stdout"))
+            })
+        }
+        "all" => CATALOG.iter().collect(),
+        id => CATALOG.iter().filter(|e| e.id() == id).collect(),
+    };
+    if selected.is_empty() {
+        let ids: Vec<&str> = CATALOG.iter().map(|e| e.id()).collect();
+        return Err(ArgError(format!(
+            "unknown experiment {which:?} (expected {} | all | list)",
+            ids.join(" | ")
+        )));
+    }
+    let strategy = match args.get("strategy") {
+        None => None,
+        Some(s) => Some(LoggingKind::parse(s).ok_or_else(|| {
+            ArgError(format!("unknown strategy {s:?} (selective | sender | receiver | causal)"))
+        })?),
+    };
+    if strategy.is_some() && !selected.iter().any(|e| e.strategy_axis()) {
+        return Err(ArgError(format!(
+            "--strategy does not apply to {which}: it does not sweep the logging strategies"
+        )));
+    }
+    let replicates: usize = args.num("replicates", 1)?;
+    if replicates == 0 {
+        return Err(ArgError("--replicates must be at least 1".into()));
+    }
+    let jobs = match args.num("jobs", 1usize)? {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        j => j,
+    };
+    let opts = GridOptions { jobs, replicates };
+    let mut report = args
+        .get("report-json")
+        .map(|path| std::fs::File::create(path).map(|f| (path, f)).map_err(write_err(path)))
+        .transpose()?;
+    for e in selected {
+        let sink = match args.get("trace-out") {
+            None => None,
+            Some(dir) => Some(TraceSink::new(dir, e.id()).map_err(write_err(dir))?),
+        };
+        let outcome = e.grid(scale, seed, strategy).run_with_sink(&opts, sink.as_ref());
+        writeln!(out, "{}", outcome.table.render()).map_err(write_err("stdout"))?;
+        if args.flag("csv") {
+            writeln!(out, "{}", outcome.table.to_csv()).map_err(write_err("stdout"))?;
+        }
+        if let Some((path, file)) = &mut report {
+            file.write_all(outcome.report_jsonl(e.id(), scale.name(), seed).as_bytes())
+                .map_err(write_err(path))?;
+        }
+    }
+    Ok(())
+}
+
 fn cmd_compare(args: &Args) -> Result<String, ArgError> {
+    args.expect_only(&[CONFIG_OPTS, &["csv"]].concat())?;
     let cfg = build_config(args)?;
     let mut t = Table::new(
         format!("comparison at n={} (seed {})", cfg.sim.n, cfg.sim.seed),
@@ -322,6 +408,7 @@ fn cmd_compare(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_recover(args: &Args) -> Result<String, ArgError> {
+    args.expect_only(&[CONFIG_OPTS, &["crash-ms", "live"]].concat())?;
     let mut cfg = build_config(args)?;
     let crash_ms: u64 = args.num("crash-ms", 2_000)?;
     let n = cfg.sim.n;
@@ -331,7 +418,6 @@ fn cmd_recover(args: &Args) -> Result<String, ArgError> {
         FaultPlan::single(victim, SimTime::from_millis(crash_ms), SimDuration::from_millis(50));
     cfg.stop_on_crash = !args.flag("live");
     let mut out = String::new();
-    use std::fmt::Write as _;
 
     let r = run(&Algo::ocpt(), cfg.clone());
     if let Some(e) = &r.protocol_error {
@@ -422,18 +508,15 @@ fn cmd_algos() -> String {
     t.render()
 }
 
-/// Convenience wrapper for an OCPT config override example (used in docs).
-pub fn default_ocpt_config() -> OcptConfig {
-    OcptConfig::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run_cli(v: &[&str]) -> Result<String, ArgError> {
         let args = Args::parse(v.iter().map(|s| s.to_string()), BOOL_FLAGS)?;
-        dispatch(&args)
+        let mut out = Vec::new();
+        dispatch(&args, &mut out)?;
+        Ok(String::from_utf8(out).expect("utf-8 output"))
     }
 
     #[test]
@@ -546,6 +629,113 @@ mod tests {
         assert!(run_cli(&["trace", "bogus"]).is_err());
         assert!(run_cli(&["trace", "summary"]).is_err());
         assert!(run_cli(&["trace", "summary", "/no/such/file.jsonl"]).is_err());
+        // An option the subcommand does not read is named, never ignored.
+        for (argv, stray) in [
+            (&["run", "--n", "4", "--bogus", "3"][..], "--bogus"),
+            (&["run", "--interval", "500"], "--interval"),
+            (&["run", "--quick"], "--quick"),
+            (&["compare", "--algo", "ocpt"], "--algo"),
+            (&["recover", "--csv"], "--csv"),
+            (&["trace", "summary", "f.jsonl", "--buckets", "3"], "--buckets"),
+            (&["algos", "--n", "3"], "--n"),
+            (&["exp", "e1", "--quick", "--json"], "--json"),
+        ] {
+            let e = run_cli(argv).expect_err("stray option accepted").to_string();
+            assert!(e.contains(&format!("unknown option {stray} ")), "{argv:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn exp_list_and_selection_errors() {
+        let list = run_cli(&["exp", "list"]).expect("list renders");
+        // Every DESIGN.md §4 id is named (A1 and A3 ride on E3 and E4).
+        let design_ids =
+            (1..=10).map(|i| format!("E{i}")).chain(["A1", "A2", "A3"].map(String::from));
+        for id in design_ids {
+            assert!(list.contains(&format!("{id}:")) || list.contains(&format!("{id}/")), "{id}");
+        }
+        assert!(CATALOG.iter().zip(list.lines()).all(|(e, l)| l.split(' ').next() == Some(e.id())));
+        for argv in [&["exp"][..], &["exp", "e11", "--quick"]] {
+            let e = run_cli(argv).expect_err("no such experiment").to_string();
+            assert!(CATALOG.iter().all(|x| e.contains(x.id())) && e.contains("all | list"), "{e}");
+        }
+        assert!(run_cli(&["exp", "e1", "e2", "--quick"]).is_err());
+        assert!(run_cli(&["exp", "e10", "--quick", "--strategy", "pessimistic"]).is_err());
+        assert!(run_cli(&["exp", "e10", "--quick", "--replicates", "0"]).is_err());
+        // --strategy on an experiment without that axis is refused, not ignored.
+        let e = run_cli(&["exp", "e1", "--quick", "--strategy", "sender"]).expect_err("no axis");
+        assert!(e.to_string().contains("--strategy does not apply to e1"), "{e}");
+    }
+
+    /// The `(header, rows)` of every CSV block `ocpt exp --csv` printed.
+    fn csv_blocks(stdout: &str) -> Vec<(Vec<&str>, Vec<Vec<&str>>)> {
+        let blocks = stdout.split("\n\n").filter(|b| !b.is_empty() && !b.starts_with("=="));
+        blocks
+            .map(|b| {
+                let mut lines = b.lines().map(|l| l.split(',').collect::<Vec<_>>());
+                (lines.next().expect("csv header"), lines.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exp_all_is_identical_across_jobs_and_its_report_matches_the_csv() {
+        use ocpt_telemetry::json::{parse_object, Value};
+        let report_path =
+            std::env::temp_dir().join(format!("ocpt_cli_exp_{}.jsonl", std::process::id()));
+        let report_arg = report_path.to_str().expect("utf-8 temp path");
+        // --strategy inside `all` restricts the experiments that have the
+        // axis and leaves the rest alone.
+        let common = ["exp", "all", "--quick", "--csv", "--strategy", "causal"];
+        let serial = run_cli(&[&common[..], &["--jobs", "1"]].concat()).expect("serial");
+        let parallel =
+            run_cli(&[&common[..], &["--jobs", "2", "--report-json", report_arg]].concat())
+                .expect("parallel");
+        assert_eq!(serial, parallel, "stdout depends on --jobs");
+        let blocks = csv_blocks(&serial);
+        assert_eq!(blocks.len(), CATALOG.len());
+        for (e, (_, rows)) in CATALOG.iter().zip(&blocks) {
+            let alone = |jobs| run_cli(&["exp", e.id(), "--quick", "--csv", "--jobs", jobs]);
+            if e.strategy_axis() {
+                assert!(rows.iter().all(|r| r[0] == "causal"), "{} not restricted", e.id());
+                // Unrestricted, the matrix is four times the size and
+                // still independent of --jobs.
+                let one = alone("1").expect("serial matrix");
+                assert_eq!(one, alone("2").expect("parallel matrix"), "{}", e.id());
+                assert_eq!(csv_blocks(&one)[0].1.len(), 4 * rows.len());
+            } else if e.id() != "e9" {
+                // `ocpt exp <id>` prints exactly its section of `all`
+                // (e9 is left out only for its debug-build cost).
+                assert!(serial.contains(&alone("1").expect("single id")), "{} alone", e.id());
+            }
+        }
+
+        // The report: per experiment a header, then the rows the CSV
+        // shows — unrounded, each with its cell's event count.
+        let report = std::fs::read_to_string(&report_path).expect("report written");
+        std::fs::remove_file(&report_path).ok();
+        let mut lines = report.lines().map(|l| parse_object(l).expect("report line parses"));
+        for (e, (header, rows)) in CATALOG.iter().zip(&blocks) {
+            let head = lines.next().expect("section header");
+            assert_eq!(head[0], ("schema".into(), Value::Str("ocpt-report".into())));
+            assert_eq!(head[2], ("experiment".into(), Value::Str(e.id().into())));
+            assert!(head.contains(&("runs".into(), Value::UInt(rows.len() as u64))), "{}", e.id());
+            for row in rows {
+                let fields = lines.next().expect("one report line per csv row");
+                for (name, cell) in header.iter().zip(row) {
+                    let value = fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+                    let decimals = cell.split_once('.').map_or(0, |(_, frac)| frac.len());
+                    let rendered = match value.expect("column in report") {
+                        Value::Str(s) => s.clone(),
+                        Value::Null => "-".to_string(),
+                        v => format!("{:.decimals$}", v.as_f64().expect("number")),
+                    };
+                    assert_eq!(&rendered, cell, "{}: column {name}", e.id());
+                }
+                assert!(fields.iter().any(|(k, _)| k == "sim_events"));
+            }
+        }
+        assert!(lines.next().is_none(), "report has more rows than the csv");
     }
 
     #[test]

@@ -8,11 +8,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match ocpt_cli::dispatch(&args) {
-        Ok(out) => print!("{out}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = ocpt_cli::dispatch(&args, &mut std::io::stdout().lock()) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

@@ -559,8 +559,7 @@ mod tests {
     #[test]
     fn send_path_never_deep_clones_tent_set() {
         // The per-send piggyback is a refcount bump of tentSet storage —
-        // the grid engine's hot-path guarantee, also pinned by the
-        // `piggyback_send` microbench.
+        // the grid engine's hot-path guarantee.
         let mut p = proc(0, 256);
         let mut out = Outbox::new();
         p.initiate_checkpoint(&mut out);

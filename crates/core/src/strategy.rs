@@ -23,8 +23,8 @@
 //! [`LoggingKind`] names the four implemented variants. The protocol state
 //! machine (`OcptProcess`) consults the strategy at every send and receive;
 //! recovery consumes the resulting durable log through a [`ReplayPlan`].
-//! Experiment E10 (`exp_log`) sweeps the strategies against a grid of
-//! fault patterns.
+//! Experiment E10 (`ocpt exp e10`) sweeps the strategies against a grid
+//! of fault patterns.
 //!
 //! The [`LoggingKind::Selective`] variant is the paper's policy *extracted,
 //! not changed*: with it configured (the default), every trace, counter and

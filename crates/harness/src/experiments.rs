@@ -1,6 +1,7 @@
 //! The reconstructed evaluation (DESIGN.md §4): one function per
-//! experiment, each declaring the [`RunGrid`] its `exp_*` binary executes
-//! and prints.
+//! experiment declaring its [`RunGrid`], and the [`CATALOG`] that gives
+//! each experiment its id and its one sweep per [`Scale`] — what
+//! `ocpt exp <id>` executes and prints.
 //!
 //! The paper omitted its performance-evaluation section for space; these
 //! experiments test the paper's *claims* (§Abstract, §1, §3.5.1) on the
@@ -15,15 +16,16 @@
 //! bit-identical however many workers run it (see `grid`).
 
 use ocpt_core::LoggingKind;
-use ocpt_metrics::Table;
+use ocpt_metrics::{Quantiles, Table};
 use ocpt_sim::{Fault, FaultPlan, ProcessId, SimDuration, SimTime};
 
 use crate::algo::Algo;
 use crate::analysis::{
     coordinated_rollback, domino_rollback, log_recovery_report, verify_restored_states,
+    LogRecoveryReport,
 };
 use crate::grid::{ColFmt, GridOptions, RunGrid};
-use crate::runner::RunConfig;
+use crate::runner::{RunConfig, RunResult};
 use crate::workload::WorkloadSpec;
 
 use ColFmt::{Int, F2, F3};
@@ -421,13 +423,12 @@ pub fn a2_flush_policy(base: ExpParams) -> RunGrid {
     g
 }
 
-/// The three E10 fault patterns, shared by the grid builder and the
-/// `exp_log` binary's direct per-cell runs (so `BENCH_log.json` measures
-/// exactly the schedules the printed table shows): a **single** mid-run
-/// crash of `P_{n/2}`, a **correlated** crash of three neighbours at the
-/// same instant, and a crash **during-finalize** — just past the next
-/// checkpoint-interval boundary, while the round's phased finalize writes
-/// are still in flight and the durable line lags.
+/// The three E10 fault patterns, shared by [`e10_log_matrix`] and
+/// [`health_matrix`] (so both tables describe the same schedules): a
+/// **single** mid-run crash of `P_{n/2}`, a **correlated** crash of three
+/// neighbours at the same instant, and a crash **during-finalize** — just
+/// past the next checkpoint-interval boundary, while the round's phased
+/// finalize writes are still in flight and the durable line lags.
 pub fn e10_fault_patterns(base: &ExpParams, crash_ms: u64) -> Vec<(&'static str, FaultPlan)> {
     let n = base.n;
     let down = SimDuration::from_millis(10);
@@ -462,7 +463,7 @@ pub fn e10_fault_patterns(base: &ExpParams, crash_ms: u64) -> Vec<(&'static str,
 /// orphans.
 ///
 /// `only` restricts the grid to a single strategy (the `--strategy` flag
-/// of `exp_log`); `None` runs the full matrix.
+/// of `ocpt exp`); `None` runs the full matrix.
 pub fn e10_log_matrix(base: ExpParams, crash_ms: u64, only: Option<LoggingKind>) -> RunGrid {
     let mut g = RunGrid::new(
         "E10: logging strategy × fault pattern (durable log bytes vs replay cost)",
@@ -477,36 +478,47 @@ pub fn e10_log_matrix(base: ExpParams, crash_ms: u64, only: Option<LoggingKind>)
             ("lost_in_transit", Int),
         ],
     );
-    let patterns = e10_fault_patterns(&base, crash_ms);
+    strategy_fault_cells(&mut g, base, &e10_fault_patterns(&base, crash_ms), only, |_, rep| {
+        vec![
+            rep.line as f64,
+            rep.log_bytes as f64 / 1024.0,
+            rep.replay_time.as_secs_f64() * 1e3,
+            rep.replayed_local as f64,
+            rep.fetched as f64,
+            rep.orphans as f64,
+            rep.lost_in_transit as f64,
+        ]
+    });
+    g
+}
+
+/// Declare the `strategy × fault` cells the two logging-lab grids share:
+/// every [`LoggingKind`] (or just `only`) under each pattern, the run
+/// stopping at the crash when the pattern has one, with `metrics` reading
+/// the run and its recovery analysis at the durable line.
+fn strategy_fault_cells(
+    g: &mut RunGrid,
+    base: ExpParams,
+    patterns: &[(&'static str, FaultPlan)],
+    only: Option<LoggingKind>,
+    metrics: fn(&RunResult, &LogRecoveryReport) -> Vec<f64>,
+) {
     for kind in LoggingKind::ALL {
         if only.is_some_and(|o| o != kind) {
             continue;
         }
-        for (fault_name, faults) in &patterns {
+        for (fault_name, faults) in patterns {
             let mut cfg = base.config();
+            cfg.stop_on_crash = !faults.is_empty();
             cfg.faults = faults.clone();
-            cfg.stop_on_crash = true;
-            g.cell(
-                &[kind.name().into(), (*fault_name).into()],
-                Algo::ocpt_logging(kind),
-                cfg,
-                |r| {
-                    let rep = log_recovery_report(r)
-                        .unwrap_or_else(|e| panic!("log recovery analysis failed: {e}"));
-                    vec![
-                        rep.line as f64,
-                        rep.log_bytes as f64 / 1024.0,
-                        rep.replay_time.as_secs_f64() * 1e3,
-                        rep.replayed_local as f64,
-                        rep.fetched as f64,
-                        rep.orphans as f64,
-                        rep.lost_in_transit as f64,
-                    ]
-                },
-            );
+            let labels = [kind.name().into(), (*fault_name).into()];
+            g.cell(&labels, Algo::ocpt_logging(kind), cfg, move |r| {
+                let rep = log_recovery_report(r)
+                    .unwrap_or_else(|e| panic!("log recovery analysis failed: {e}"));
+                metrics(r, &rep)
+            });
         }
     }
-    g
 }
 
 /// One cell of the **E9 scale sweep**: system size `n` with traffic,
@@ -538,7 +550,10 @@ pub fn scale_config(n: usize, seed: u64) -> RunConfig {
 /// **E9 — protocol scaling.** Piggyback bytes per application message
 /// under the adaptive tentSet encoding vs the dense `⌈N/8⌉` formula, and
 /// control messages per collected round under the (Auto-selected)
-/// topology: the flat ring up to 512 processes, `⌈√N⌉` groups beyond.
+/// topology: the flat ring up to 512 processes, `⌈√N⌉` groups beyond
+/// (`group_size` is `-` on the flat ring). The trailing columns are what
+/// the simulator paid for the cell: events per application message and,
+/// of those events, the storage wakeups.
 pub fn exp_scale(ns: &[usize], seed: u64) -> RunGrid {
     let mut g = RunGrid::new(
         "E9: scaling — adaptive piggyback + hierarchical control waves",
@@ -549,11 +564,19 @@ pub fn exp_scale(ns: &[usize], seed: u64) -> RunGrid {
             ("savings_x", F2),
             ("ctrl/round", F2),
             ("rounds", Int),
+            ("app_msgs", Int),
+            ("ctrl_msgs", Int),
+            ("group_size", Int),
+            ("events/msg", F2),
+            ("storage_wakeups", Int),
         ],
     );
+    let topology = ocpt_core::OcptConfig::default().control_topology;
     for &n in ns {
         g.cell(&[n.to_string()], Algo::ocpt(), scale_config(n, seed), move |r| {
-            let per_msg = r.piggyback_bytes as f64 / r.app_messages.max(1) as f64;
+            assert!(r.complete_rounds >= 1, "n={n}: no round completed");
+            let msgs = r.app_messages.max(1) as f64;
+            let per_msg = r.piggyback_bytes as f64 / msgs;
             let dense = ocpt_core::Piggyback::dense_wire_bytes_for(n) as f64;
             let rounds = r.complete_rounds.max(1) as f64;
             vec![
@@ -562,11 +585,172 @@ pub fn exp_scale(ns: &[usize], seed: u64) -> RunGrid {
                 dense / per_msg.max(1.0),
                 r.ctrl_messages as f64 / rounds,
                 r.complete_rounds as f64,
+                r.app_messages as f64,
+                r.ctrl_messages as f64,
+                topology.group_size(n).map_or(f64::NAN, f64::from),
+                r.sim_events as f64 / msgs,
+                r.event_census.storage_done as f64,
             ]
         });
     }
     g
 }
+
+/// **Health — per-strategy protocol health.** The four
+/// [`ocpt_core::LoggingKind`]s under the fault-free baseline (`none`)
+/// plus the three [`e10_fault_patterns`]: what the `ocpt-health` trace
+/// report tracks per run, measured per strategy. Round latency is
+/// reported as the count of globally complete rounds, their median and
+/// their maximum — a run completes 3–9 rounds, which supports no higher
+/// percentile; log growth and the gap counters come from
+/// [`log_recovery_report`] at the run's durable line.
+pub fn health_matrix(base: ExpParams, crash_ms: u64, only: Option<LoggingKind>) -> RunGrid {
+    let mut g = RunGrid::new(
+        "Health: logging strategy × fault pattern (round latency, log growth, gaps)",
+        &["strategy", "fault"],
+        &[
+            ("rounds", Int),
+            ("p50_ms", F3),
+            ("max_ms", F3),
+            ("line", Int),
+            ("app_msgs", Int),
+            ("log_B/msg", F2),
+            ("orphans", Int),
+            ("lost_in_transit", Int),
+        ],
+    );
+    let mut patterns = vec![("none", FaultPlan::none())];
+    patterns.extend(e10_fault_patterns(&base, crash_ms));
+    strategy_fault_cells(&mut g, base, &patterns, only, |r, rep| {
+        let mut latency = Quantiles::new();
+        for s in r.round_stats.iter().filter(|s| s.completes == r.n) {
+            latency.record(s.latency_ns() as f64 / 1e6);
+        }
+        vec![
+            r.complete_rounds as f64,
+            latency.try_quantile(0.5).unwrap_or(f64::NAN),
+            latency.try_quantile(1.0).unwrap_or(f64::NAN),
+            rep.line as f64,
+            r.app_messages as f64,
+            rep.log_bytes as f64 / r.app_messages.max(1) as f64,
+            rep.orphans as f64,
+            rep.lost_in_transit as f64,
+        ]
+    });
+    g
+}
+
+/// How large a sweep a catalog experiment runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Reduced problem sizes for smoke runs (`--quick`).
+    Quick,
+    /// The published sweep (`EXPERIMENTS.md`).
+    Full,
+}
+
+impl Scale {
+    /// The name stamped into reports.
+    pub fn name(self) -> &'static str {
+        self.pick("quick", "full")
+    }
+
+    /// Base experiment parameters at this scale.
+    pub fn params(self, seed: u64) -> ExpParams {
+        // Storage utilisation n·state/(interval·bandwidth) ≈ 0.3: the
+        // server is busy but not saturated, so contention measures write
+        // *clustering*, not overload.
+        let full = ExpParams {
+            n: 8,
+            seed,
+            workload_ms: 10_000,
+            msg_gap: SimDuration::from_millis(5),
+            ckpt_interval: SimDuration::from_secs(1),
+            state_bytes: 2 * 1024 * 1024,
+        };
+        let quick = ExpParams {
+            n: 4,
+            workload_ms: 1_000,
+            ckpt_interval: SimDuration::from_millis(250),
+            state_bytes: 512 * 1024,
+            ..full
+        };
+        self.pick(quick, full)
+    }
+
+    /// `quick` or `full`, whichever this scale is.
+    fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
+        }
+    }
+}
+
+/// One entry of the experiment [`CATALOG`]: the id `ocpt exp <id>` selects
+/// it by and the function declaring its grid — its one sweep at the scale,
+/// over the scale's base parameters.
+pub enum Experiment {
+    /// An experiment with no logging-strategy axis.
+    Plain(&'static str, fn(Scale, ExpParams) -> RunGrid),
+    /// An experiment that sweeps the logging strategies, or just the one
+    /// given (`--strategy`).
+    ByStrategy(&'static str, fn(Scale, ExpParams, Option<LoggingKind>) -> RunGrid),
+}
+
+use Experiment::{ByStrategy, Plain};
+
+impl Experiment {
+    /// What `ocpt exp <id>` selects the experiment by.
+    pub fn id(&self) -> &'static str {
+        match self {
+            Plain(id, _) | ByStrategy(id, _) => id,
+        }
+    }
+
+    /// Whether `--strategy` can restrict the experiment.
+    pub fn strategy_axis(&self) -> bool {
+        matches!(self, ByStrategy(..))
+    }
+
+    /// The experiment's grid at `scale` under master seed `seed`; `only`
+    /// restricts a [`Self::strategy_axis`] experiment to one strategy and
+    /// is ignored by the others.
+    pub fn grid(&self, scale: Scale, seed: u64, only: Option<LoggingKind>) -> RunGrid {
+        match self {
+            Plain(_, build) => build(scale, scale.params(seed)),
+            ByStrategy(_, build) => build(scale, scale.params(seed), only),
+        }
+    }
+}
+
+fn ms(millis: &[u64]) -> Vec<SimDuration> {
+    millis.iter().map(|&m| SimDuration::from_millis(m)).collect()
+}
+
+/// Every reconstructed experiment with its single sweep per [`Scale`]
+/// (`quick`, then `full`), in the order `ocpt exp all` runs them. A1 and
+/// A3 are the naive rows of E3 and the timer axis of E4; the logging lab
+/// (E10, health) crashes at 0.6 s / 4 s.
+pub const CATALOG: &[Experiment] = &[
+    Plain("e1", |s, p| e1_contention(s.pick(&[4, 8], &[4, 8, 16, 32, 64]), p)),
+    Plain("e2", |s, p| e2_overhead(&ms(s.pick(&[250], &[250, 500, 1000, 2000])), p)),
+    Plain("e3", |s, p| {
+        e3_control_messages(&ms(s.pick(&[2, 50], &[1, 2, 5, 20, 100, 200, 400])), p)
+    }),
+    Plain("e4", |s, p| {
+        let timeouts = ms(s.pick(&[100, 400], &[50, 125, 250, 500, 1000]));
+        e4_convergence(&ms(s.pick(&[5], &[2, 20, 200])), &timeouts, p)
+    }),
+    Plain("e5", |s, p| e5_logging(&ms(s.pick(&[5], &[1, 2, 5, 20])), p)),
+    Plain("e6", |s, p| e6_piggyback(s.pick(&[4, 16], &[4, 8, 16, 32, 64, 128, 256]), p)),
+    Plain("e7", |_, p| e7_recovery(p, p.workload_ms * 3 / 4)),
+    Plain("e8", |s, p| e8_response_time(&ms(s.pick(&[5], &[1, 2, 5, 20])), p)),
+    Plain("e9", |s, p| exp_scale(s.pick(&[64, 600], &[100, 1_000, 10_000, 100_000]), p.seed)),
+    ByStrategy("e10", |s, p, only| e10_log_matrix(p, s.pick(600, 4_000), only)),
+    Plain("a2", |_, p| a2_flush_policy(p)),
+    ByStrategy("health", |s, p, only| health_matrix(p, s.pick(600, 4_000), only)),
+];
 
 /// Serial convenience used by tests and examples: run a grid with one
 /// worker and one replicate.
@@ -662,6 +846,28 @@ mod tests {
         let t = run_serial(&e10_log_matrix(quick(), 600, Some(LoggingKind::SenderBased)));
         assert_eq!(t.len(), 3);
         assert!(!t.to_csv().contains("receiver"));
+    }
+
+    #[test]
+    fn health_covers_the_baseline_and_every_fault() {
+        let g = health_matrix(quick(), 600, Some(LoggingKind::Selective));
+        let out = g.run(&GridOptions::serial());
+        let faults: Vec<&str> = out.rows.iter().map(|r| r.labels[1].as_str()).collect();
+        assert_eq!(faults, ["none", "single", "correlated", "during-finalize"]);
+        // The fault-free baseline completes rounds, measures them and grows
+        // a log: rounds, p50_ms, max_ms, line, app_msgs, log_B/msg, …
+        let v = &out.rows[0].values;
+        assert!(v[0] > 0.0 && 0.0 < v[1] && v[1] <= v[2] && v[5] > 0.0, "{v:?}");
+    }
+
+    #[test]
+    fn catalog_ids_are_unique_and_every_entry_builds_at_both_scales() {
+        for (i, e) in CATALOG.iter().enumerate() {
+            assert!(CATALOG[..i].iter().all(|o| o.id() != e.id()), "duplicate id {}", e.id());
+            let quick = e.grid(Scale::Quick, 42, None).cell_count();
+            let full = e.grid(Scale::Full, 42, None).cell_count();
+            assert!(0 < quick && quick <= full, "{}: quick {quick} vs full {full}", e.id());
+        }
     }
 
     #[test]

@@ -65,13 +65,7 @@ impl ColFmt {
 
     /// Render a mean/sd (fractional even for integer columns).
     fn render_frac(self, v: f64) -> String {
-        if v.is_nan() {
-            return "-".into();
-        }
-        match self {
-            ColFmt::Int | ColFmt::F2 => f2(v),
-            ColFmt::F3 => f3(v),
-        }
+        if self == ColFmt::Int { ColFmt::F2 } else { self }.render(v)
     }
 }
 
@@ -147,6 +141,14 @@ impl TraceSink {
 
 type MetricFn = Box<dyn Fn(&RunResult) -> Vec<f64> + Send + Sync>;
 
+/// What one `(cell, replicate)` job hands back to the aggregation.
+#[derive(Debug)]
+struct JobResult {
+    vals: Vec<f64>,
+    sim_events: u64,
+    wall_secs: f64,
+}
+
 /// One independent run of the grid: fixed labels, an algorithm, a full
 /// run configuration and the metric extractor.
 struct GridCell {
@@ -156,28 +158,91 @@ struct GridCell {
     metrics: MetricFn,
 }
 
-/// What executing a grid produces: the rendered table plus the engine's
-/// self-measurement (wall-clock, total runs, simulator throughput).
+/// One table row before rounding: what [`GridOutcome::report_jsonl`]
+/// writes for it.
+#[derive(Clone, Debug)]
+pub struct GridRow {
+    /// The cell's label columns.
+    pub labels: Vec<String>,
+    /// Raw metric values, one per metric column of the table (with
+    /// replicates: the `mean`/`min`/`max`/`sd` aggregates, in header
+    /// order). `NaN` marks a metric that does not apply to the cell.
+    pub values: Vec<f64>,
+    /// Simulator events dispatched by this cell's runs.
+    pub sim_events: u64,
+    /// Wall-clock seconds inside this cell's runs
+    /// ([`RunResult::wall_secs`], summed over replicates).
+    pub wall_secs: f64,
+}
+
+/// What executing a grid produces: the rendered table, the raw rows
+/// behind it, and the engine's self-measurement (wall-clock, total runs,
+/// simulator throughput).
 #[derive(Debug)]
 pub struct GridOutcome {
     /// The aggregated result table, rows in cell-declaration order.
     pub table: Table,
+    /// The table's rows unrounded, plus each cell's own event count and
+    /// wall-clock.
+    pub rows: Vec<GridRow>,
     /// Wall-clock seconds for the whole grid.
     pub wall_secs: f64,
     /// Total simulation runs executed (cells × replicates).
     pub runs: usize,
     /// Simulator events dispatched, summed over all runs.
     pub sim_events: u64,
+    /// The options the grid ran with.
+    pub opts: GridOptions,
+    /// Table headers: label columns, then metric columns.
+    headers: Vec<String>,
 }
 
 impl GridOutcome {
-    /// Aggregate simulator throughput: events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.sim_events as f64 / self.wall_secs
-        } else {
-            0.0
+    /// The grid as a versioned `ocpt-report`: JSON Lines like
+    /// `ocpt-trace`, the grid-level sibling of
+    /// [`RunResult::metrics_json`] — a header line (what ran, on what, the
+    /// grid totals), then one flat object per table row: its labels, its
+    /// metric columns as the raw values the table rounds (`null` where
+    /// the table prints `-`) and that cell's own `sim_events`, `wall_secs`
+    /// and `events_per_sec`. The field-by-field reference is `DESIGN.md`
+    /// §5. Unlike a trace the report is not byte-deterministic: the
+    /// `wall_secs` fields and the host stamp measure this execution.
+    pub fn report_jsonl(&self, experiment: &str, scale: &str, seed: u64) -> String {
+        use ocpt_telemetry::json::Obj;
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let mut out = Obj::new()
+            .str("schema", "ocpt-report")
+            .u64("version", 1)
+            .str("experiment", experiment)
+            .str("scale", scale)
+            .u64("seed", seed)
+            .u64("host_cores", cores as u64)
+            .str("host_os", std::env::consts::OS)
+            .u64("jobs", self.opts.jobs as u64)
+            .u64("replicates", self.opts.replicates as u64)
+            .u64("runs", self.runs as u64)
+            .u64("sim_events", self.sim_events)
+            .f64("wall_secs", self.wall_secs)
+            .finish();
+        out.push('\n');
+        for row in &self.rows {
+            let (label_names, metric_names) = self.headers.split_at(row.labels.len());
+            let mut o = Obj::new();
+            for (name, label) in label_names.iter().zip(&row.labels) {
+                o = o.str(name, label);
+            }
+            for (name, v) in metric_names.iter().zip(&row.values) {
+                o = o.f64(name, *v);
+            }
+            out.push_str(
+                &o.u64("sim_events", row.sim_events)
+                    .f64("wall_secs", row.wall_secs)
+                    .f64("events_per_sec", row.sim_events as f64 / row.wall_secs)
+                    .finish(),
+            );
+            out.push('\n');
         }
+        out
     }
 }
 
@@ -220,6 +285,11 @@ impl RunGrid {
         });
     }
 
+    /// The table title.
+    pub fn title(&self) -> &str {
+        &self.title
+    }
+
     /// Number of declared cells (= table rows).
     pub fn cell_count(&self) -> usize {
         self.cells.len()
@@ -246,28 +316,28 @@ impl RunGrid {
     }
 
     /// Execute every `(cell, replicate)` job and return the raw metric
-    /// vectors, indexed `[cell][replicate][metric]`. This is the engine
-    /// core; [`Self::run`] aggregates it into a table.
+    /// vectors, indexed `[cell][replicate][metric]`, plus the total
+    /// simulator events — exposed so tests can compare any grid run
+    /// against a direct one.
     pub fn cell_metrics(&self, opts: &GridOptions) -> (Vec<Vec<Vec<f64>>>, u64) {
-        self.cell_metrics_with_sink(opts, None)
+        let per_cell = self.execute(opts, None);
+        let events = per_cell.iter().flatten().map(|j| j.sim_events).sum();
+        (per_cell.into_iter().map(|c| c.into_iter().map(|j| j.vals).collect()).collect(), events)
     }
 
-    /// [`Self::cell_metrics`], optionally recording every run's flight
-    /// data into `sink`. With a sink attached each job runs with tracing
-    /// forced on and writes its trace + metrics artifacts from whichever
-    /// worker executes it (distinct jobs write distinct files, so the
-    /// on-disk result is identical for any `jobs` count).
-    pub fn cell_metrics_with_sink(
-        &self,
-        opts: &GridOptions,
-        sink: Option<&TraceSink>,
-    ) -> (Vec<Vec<Vec<f64>>>, u64) {
+    /// The engine core: run every `(cell, replicate)` job exactly once
+    /// and return what each produced, indexed `[cell][replicate]`. With a
+    /// sink attached each job runs with tracing forced on and writes its
+    /// trace + metrics artifacts from whichever worker executes it
+    /// (distinct jobs write distinct files, so the on-disk result is
+    /// identical for any `jobs` count).
+    fn execute(&self, opts: &GridOptions, sink: Option<&TraceSink>) -> Vec<Vec<JobResult>> {
         let reps = opts.replicates.max(1);
         let jobs: Vec<(usize, usize)> =
             (0..self.cells.len()).flat_map(|c| (0..reps).map(move |r| (c, r))).collect();
         // One slot per job; each worker fills only its own slots, so the
         // aggregation below is race-free and order-independent.
-        let slots: Vec<OnceLock<(Vec<f64>, u64)>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<JobResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
         let run_job = |job: usize| {
             let (c, r) = jobs[job];
             let cell = &self.cells[c];
@@ -281,7 +351,9 @@ impl RunGrid {
             }
             let vals = (cell.metrics)(&result);
             assert_eq!(vals.len(), self.cols.len(), "metric arity mismatch in {}", self.title);
-            slots[job].set((vals, result.sim_events)).expect("job executed twice");
+            let done =
+                JobResult { vals, sim_events: result.sim_events, wall_secs: result.wall_secs };
+            slots[job].set(done).expect("job executed twice");
         };
         let workers = opts.jobs.max(1).min(jobs.len().max(1));
         if workers <= 1 {
@@ -335,14 +407,11 @@ impl RunGrid {
                 }
             });
         }
-        let mut out: Vec<Vec<Vec<f64>>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
-        let mut sim_events = 0u64;
+        let mut out: Vec<Vec<JobResult>> = (0..self.cells.len()).map(|_| Vec::new()).collect();
         for (job, slot) in jobs.iter().zip(slots) {
-            let (vals, events) = slot.into_inner().expect("job not executed");
-            out[job.0].push(vals);
-            sim_events += events;
+            out[job.0].push(slot.into_inner().expect("job not executed"));
         }
-        (out, sim_events)
+        out
     }
 
     /// Execute the grid and aggregate into the result table.
@@ -356,41 +425,51 @@ impl RunGrid {
         // simlint: allow(wall-clock, "wall-clock self-measurement of the grid driver; never feeds simulation state")
         let wall_start = std::time::Instant::now();
         let reps = opts.replicates.max(1);
-        let (per_cell, sim_events) = self.cell_metrics_with_sink(opts, sink);
-        let mut headers: Vec<&str> = self.label_headers.iter().map(String::as_str).collect();
-        let expanded: Vec<String> = if reps > 1 {
-            self.cols
-                .iter()
-                .flat_map(|(name, _)| {
-                    ["mean", "min", "max", "sd"].iter().map(move |s| format!("{name}_{s}"))
-                })
-                .collect()
-        } else {
-            self.cols.iter().map(|(name, _)| name.clone()).collect()
-        };
-        headers.extend(expanded.iter().map(String::as_str));
-        let mut table = Table::new(self.title.clone(), &headers);
-        for (cell, reps_vals) in self.cells.iter().zip(&per_cell) {
-            let mut row = cell.labels.clone();
+        let per_cell = self.execute(opts, sink);
+        let mut headers = self.label_headers.clone();
+        for (name, _) in &self.cols {
+            if reps > 1 {
+                headers.extend(["mean", "min", "max", "sd"].iter().map(|s| format!("{name}_{s}")));
+            } else {
+                headers.push(name.clone());
+            }
+        }
+        let mut table =
+            Table::new(self.title.clone(), &headers.iter().map(String::as_str).collect::<Vec<_>>());
+        let mut rows = Vec::with_capacity(self.cells.len());
+        for (cell, jobs) in self.cells.iter().zip(&per_cell) {
+            let mut rendered = cell.labels.clone();
+            let mut values = Vec::with_capacity(headers.len() - cell.labels.len());
             for (m, (_, fmt)) in self.cols.iter().enumerate() {
-                let vals: Vec<f64> = reps_vals.iter().map(|r| r[m]).collect();
+                let vals: Vec<f64> = jobs.iter().map(|j| j.vals[m]).collect();
                 if reps > 1 {
                     let (mean, min, max, sd) = aggregate(&vals);
-                    row.push(fmt.render_frac(mean));
-                    row.push(fmt.render(min));
-                    row.push(fmt.render(max));
-                    row.push(fmt.render_frac(sd));
+                    rendered.push(fmt.render_frac(mean));
+                    rendered.push(fmt.render(min));
+                    rendered.push(fmt.render(max));
+                    rendered.push(fmt.render_frac(sd));
+                    values.extend([mean, min, max, sd]);
                 } else {
-                    row.push(fmt.render(vals[0]));
+                    rendered.push(fmt.render(vals[0]));
+                    values.push(vals[0]);
                 }
             }
-            table.row(&row);
+            table.row(&rendered);
+            rows.push(GridRow {
+                labels: cell.labels.clone(),
+                values,
+                sim_events: jobs.iter().map(|j| j.sim_events).sum(),
+                wall_secs: jobs.iter().map(|j| j.wall_secs).sum(),
+            });
         }
         GridOutcome {
             table,
+            sim_events: rows.iter().map(|r| r.sim_events).sum(),
+            rows,
             wall_secs: wall_start.elapsed().as_secs_f64(),
             runs: self.cells.len() * reps,
-            sim_events,
+            opts: GridOptions { jobs: opts.jobs.max(1), replicates: reps },
+            headers,
         }
     }
 
@@ -612,6 +691,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Report lines are read back with the parser the traces use, so a
+    /// label survives whatever JSON-special characters it holds. (What
+    /// the lines carry is checked against the CSV by the `ocpt exp`
+    /// tests.)
+    #[test]
+    fn report_escapes_labels() {
+        use ocpt_telemetry::json::{parse_object, Value};
+        let nasty = "a \"quoted\" back\\slash";
+        let mut g = RunGrid::new("demo", &["label"], &[("msgs", ColFmt::Int)]);
+        g.cell(&[nasty.to_string()], Algo::ocpt(), tiny_cfg(3, 7), |r| vec![r.app_messages as f64]);
+        let report = g.run(&GridOptions::serial()).report_jsonl("demo", "quick", 7);
+        let row = parse_object(report.lines().nth(1).expect("header, then a row"));
+        assert_eq!(row.expect("row parses")[0], ("label".into(), Value::Str(nasty.into())));
+    }
+
     #[test]
     fn packed_range_roundtrips() {
         for (lo, hi) in [(0u32, 0u32), (0, 7), (3, 3), (100, u32::MAX)] {
@@ -696,6 +790,6 @@ mod tests {
         let out = g.run(&GridOptions::serial());
         assert!(out.sim_events > 0);
         assert!(out.wall_secs > 0.0);
-        assert!(out.events_per_sec() > 0.0);
+        assert_eq!(out.sim_events, out.rows.iter().map(|r| r.sim_events).sum::<u64>());
     }
 }

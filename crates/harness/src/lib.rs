@@ -15,9 +15,9 @@
 //! * [`grid`] — the experiment grid engine: expand sweeps into
 //!   independent cells, run them across a thread pool, aggregate in
 //!   declaration order (bit-identical to serial execution);
-//! * [`experiments`] — one function per reconstructed experiment
-//!   (E1–E8, A1–A3 in `DESIGN.md`), each returning the table its `exp_*`
-//!   binary prints.
+//! * [`experiments`] — one grid-declaring function per reconstructed
+//!   experiment (`DESIGN.md` §4) and the catalog `ocpt exp` runs them
+//!   from.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,6 +34,6 @@ pub use analysis::{
     coordinated_rollback, domino_rollback, log_recovery_report, verify_restored_states,
     LogRecoveryReport, RollbackReport,
 };
-pub use grid::{ColFmt, GridOptions, GridOutcome, RunGrid, TraceSink};
+pub use grid::{ColFmt, GridOptions, GridOutcome, GridRow, RunGrid, TraceSink};
 pub use runner::{EventCensus, RoundStat, RunConfig, RunResult, Runner, StorageReport};
 pub use workload::{Pattern, PayloadSpec, Timing, WorkloadSpec, WorkloadState};

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The `exp_*` binaries print the same rows a paper table would contain;
-//! this module renders them aligned for terminals and as CSV for plotting.
+//! `ocpt exp` prints the same rows a paper table would contain; this
+//! module renders them aligned for terminals and as CSV for plotting.
 
 use std::fmt::Write as _;
 

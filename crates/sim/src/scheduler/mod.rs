@@ -419,6 +419,38 @@ mod tests {
         });
     }
 
+    /// Steady-state schedule/pop on one long-lived wheel allocates
+    /// nothing: after one warm-up cycle of the whole queue every insert is
+    /// a free-list reuse, so the arena's `allocs` is frozen, `reuses`
+    /// grows and the high-water mark stays put.
+    #[test]
+    fn arena_churn_allocates_nothing() {
+        for depth in [1_024u64, 16_384] {
+            let mut s: Scheduler<u32> = Scheduler::with_kind(SchedulerKind::Wheel);
+            let mut rng = crate::SimRng::derive(0xA4E4, depth);
+            let mut push = |s: &mut Scheduler<u32>, id: u64| {
+                let delay = SimDuration::from_micros(rng.next_u64_below(5_000));
+                s.schedule_after(delay, tick((id % 8) as u32, id));
+            };
+            (0..depth).for_each(|id| push(&mut s, id));
+            let mut cycle = |s: &mut Scheduler<u32>, steps: u64| {
+                for id in 0..steps {
+                    s.pop().expect("queue stays primed");
+                    push(s, id);
+                }
+            };
+            // Warm-up: one turn of the whole queue primes the free list and
+            // reaches the high-water mark.
+            cycle(&mut s, depth);
+            let before = s.arena_stats();
+            cycle(&mut s, 4 * depth);
+            let after = s.arena_stats();
+            assert_eq!(after.allocs, before.allocs, "depth={depth}: new arena slots allocated");
+            assert_eq!(after.reuses, before.reuses + 4 * depth, "depth={depth}: free list unused");
+            assert_eq!(after.hwm, before.hwm, "depth={depth}: high-water mark moved");
+        }
+    }
+
     #[test]
     #[should_panic]
     #[cfg(debug_assertions)]

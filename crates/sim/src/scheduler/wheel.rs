@@ -32,9 +32,9 @@
 //! take a payload, and to read a live timer's id at the queue front.
 //! Freed slots go on a free list and are reused, so the steady-state
 //! schedule→pop cycle performs **zero heap allocations** — pinned by the
-//! per-instance counters in [`ArenaStats`] and a
-//! `benches/scheduler_micro.rs` assert, the same idiom as the protocol
-//! bench's `TentSet::deep_copies` check.
+//! per-instance counters in [`ArenaStats`] and the scheduler test
+//! `arena_churn_allocates_nothing`, the same idiom as the protocol core's
+//! `TentSet::deep_copies` check.
 //!
 //! ## Determinism contract
 //!
@@ -180,9 +180,9 @@ fn seq_tombstoned(
 /// `allocs` counts slab growth (a fresh slot pushed onto the slab) and
 /// `reuses` counts free-list recycling; at steady state `allocs` is
 /// constant while `reuses` grows — the zero-allocation invariant pinned
-/// by the `arena_churn` microbench. `live + frees == allocs + reuses`
-/// always (every insert is an alloc or a reuse; every removal is a
-/// free), so the differential tests can audit reclaimed-slot accounting.
+/// by the `arena_churn_allocates_nothing` test. `live + frees == allocs +
+/// reuses` always (every insert is an alloc or a reuse; every removal is
+/// a free), so the differential tests can audit reclaimed-slot accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Slab slots created (heap growth events).

@@ -140,7 +140,7 @@ pub struct FileMeta {
     pub crate_key: String,
     /// Determinism tier of the owning crate.
     pub tier: Tier,
-    /// Whole file is test-only (tests/, benches/, examples/).
+    /// Whole file is test-only (tests/, examples/).
     pub is_test_path: bool,
 }
 
@@ -323,7 +323,7 @@ fn root_to_crate(root: &str, current: &str) -> Option<String> {
     if root == "crate" || root == "self" || root == "super" {
         return Some(current.to_string());
     }
-    if matches!(root, "std" | "core" | "alloc" | "bytes" | "proptest" | "criterion") {
+    if matches!(root, "std" | "core" | "alloc" | "bytes" | "proptest") {
         return Some("::external".to_string());
     }
     None

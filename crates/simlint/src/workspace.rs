@@ -13,15 +13,15 @@ pub enum Tier {
     /// of (config, seed). Wall-clock, ambient entropy and hash-order
     /// iteration are findings.
     Deterministic,
-    /// Outside the boundary (threaded runtime, benches, CLI): D1–D3 do
+    /// Outside the boundary (threaded runtime, CLI): D1–D3 do
     /// not apply, but the meta-rules (D4) and the unwrap budget (D5) do.
     Exempt,
 }
 
 /// Crates inside the simulation boundary. Everything else is exempt.
 /// `runtime` is exempt by design — it is the real-thread harness whose
-/// whole job is to exercise wall-clock behaviour; `bench`/`cli` talk to
-/// the outside world; `root` is the integration-test umbrella package.
+/// whole job is to exercise wall-clock behaviour; `cli` talks to the
+/// outside world; `root` is the integration-test umbrella package.
 const DETERMINISTIC: &[&str] = &[
     "sim",
     "core",
@@ -59,15 +59,13 @@ pub fn crate_key(rel: &str) -> String {
     "root".to_string()
 }
 
-/// True when the path itself marks test-only code: integration tests,
-/// benches and examples are compiled into separate test/bench binaries,
-/// so the determinism rules D1–D3 do not apply (the unwrap budget still
-/// does).
+/// True when the path itself marks test-only code: integration tests
+/// and examples are compiled into separate binaries, so the determinism
+/// rules D1–D3 do not apply (the unwrap budget still does).
 pub fn path_is_test(rel: &str) -> bool {
     rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.contains("/examples/")
 }
 
@@ -141,7 +139,7 @@ mod tests {
         for k in ["sim", "core", "causality", "harness", "telemetry", "simlint", "storage"] {
             assert_eq!(tier_of(k), Tier::Deterministic, "{k}");
         }
-        for k in ["runtime", "bench", "cli", "root", "unknown-crate"] {
+        for k in ["runtime", "cli", "root", "unknown-crate"] {
             assert_eq!(tier_of(k), Tier::Exempt, "{k}");
         }
     }
@@ -150,7 +148,7 @@ mod tests {
     fn path_test_detection() {
         assert!(path_is_test("tests/determinism.rs"));
         assert!(path_is_test("crates/core/tests/proptests.rs"));
-        assert!(path_is_test("crates/bench/benches/scheduler_micro.rs"));
+        assert!(path_is_test("crates/harness/examples/probe.rs"));
         assert!(!path_is_test("crates/core/src/protocol.rs"));
     }
 

@@ -5,8 +5,8 @@
 //! cargo run --example flight_recorder
 //! ```
 //!
-//! The same artifacts come out of every experiment binary
-//! (`exp_* --trace-out DIR`) and out of `ocpt run --trace-json FILE`;
+//! The same artifacts come out of every experiment
+//! (`ocpt exp <id> --trace-out DIR`) and out of `ocpt run --trace-json FILE`;
 //! `ocpt trace summary|diff|grep` analyzes them from the command line.
 
 use ocpt::prelude::*;

@@ -1,8 +1,9 @@
 //! The event census, and the pin on what it shows: a synchronized round of
 //! N writers costs O(N) storage wakeups, so simulator events per
 //! application message do not grow with N. (Before the single armed
-//! wakeup, `BENCH_scale.json` had the ratio at 57 → 560 → 603 for
-//! N = 10² / 10³ / 10⁴ — O(N²) `StorageDone` events that completed nothing.)
+//! wakeup, the E9 sweep measured the ratio at 57 → 560 → 603 for
+//! N = 10² / 10³ / 10⁴ — O(N²) `StorageDone` events that completed
+//! nothing; `ocpt exp e9` prints it today as the `events/msg` column.)
 
 use ocpt::harness::experiments::scale_config;
 use ocpt::prelude::*;
