@@ -18,4 +18,4 @@ pub mod vclock;
 
 pub use cut::Cut;
 pub use observer::{CutReport, EventPos, GlobalObserver, InTransit, Orphan};
-pub use vclock::{pairwise_consistent, Causality, VClock};
+pub use vclock::{checkpoint_set_consistent, pairwise_consistent, Causality, VClock};

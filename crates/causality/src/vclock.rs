@@ -6,6 +6,8 @@
 //! observer timestamps every event, and consistency of the collected global
 //! checkpoints is then checked against the oracle.
 
+use std::borrow::Borrow;
+
 use ocpt_sim::ProcessId;
 
 /// Outcome of comparing two vector clocks under happened-before.
@@ -112,16 +114,43 @@ impl VClock {
 /// iff its members are **pairwise concurrent or equal** — no member happened
 /// before another. This is the classical vector-clock characterisation used
 /// as a second, independent oracle next to the orphan-message check.
-pub fn pairwise_consistent(clocks: &[VClock]) -> bool {
+///
+/// The definition, spelled out: all pairs, a full [`VClock::compare`] each.
+pub fn pairwise_consistent<C: Borrow<VClock>>(clocks: &[C]) -> bool {
     for i in 0..clocks.len() {
         for j in (i + 1)..clocks.len() {
-            match clocks[i].compare(&clocks[j]) {
+            match clocks[i].borrow().compare(clocks[j].borrow()) {
                 Causality::Before | Causality::After => return false,
                 _ => {}
             }
         }
     }
     true
+}
+
+/// [`pairwise_consistent`] for a set whose `i`-th member is the checkpoint
+/// of process `i` — the same verdict in every case, in O(N²) instead of
+/// O(N³) component reads when the set is consistent the way checkpoint sets
+/// are: if every member knows strictly more about its own process than any
+/// other member does (`C_j[i] < C_i[i]` for all `i ≠ j`), each pair differs
+/// in both directions and is [`Causality::Concurrent`] under the full
+/// comparison. Any other set — one with an ordered or an equal pair, or one
+/// shaped differently — takes the all-pairs scan.
+pub fn checkpoint_set_consistent<C: Borrow<VClock>>(clocks: &[C]) -> bool {
+    each_knows_itself_best(clocks) || pairwise_consistent(clocks)
+}
+
+fn each_knows_itself_best<C: Borrow<VClock>>(clocks: &[C]) -> bool {
+    let n = clocks.len();
+    if clocks.iter().any(|c| c.borrow().len() != n) {
+        return false;
+    }
+    let own: Vec<u64> = clocks.iter().enumerate().map(|(i, c)| c.borrow().v[i]).collect();
+    // Row `j` matches `own` at `j` itself, so "below `own` everywhere else"
+    // is "at or above it exactly once".
+    clocks
+        .iter()
+        .all(|c| c.borrow().v.iter().zip(&own).filter(|(theirs, own)| theirs >= own).count() == 1)
 }
 
 #[cfg(test)]

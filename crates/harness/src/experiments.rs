@@ -526,11 +526,15 @@ fn strategy_fault_cells(
 /// thousand simulator events at any N — the sweep measures *per-process
 /// protocol cost*, not raw event throughput.
 ///
-/// The omniscient consistency observer costs O(N²)-ish memory and is the
-/// one component that cannot reach N = 100k; it stays on at the small
-/// sizes (where it verifies every collected checkpoint) and off above
-/// 1 000 — the protocol code paths are identical either way, and the
-/// flat-vs-grouped differential tests cover the large-N topology.
+/// The omniscient consistency observer is the one component that cannot
+/// reach N = 100k, and what caps it is exactly one term: two dense vector
+/// clocks per process, 2 N² words allocated by `GlobalObserver::new` —
+/// 16 MB at N = 1 000, 160 GB at N = 100k — of which every message copies
+/// and merges one. (Its per-message memory is a 48-byte row, and sender
+/// clocks are held only while in flight.) It stays on at the small sizes,
+/// where it verifies every collected checkpoint, and off above 1 000 — the
+/// protocol code paths are identical either way, and the flat-vs-grouped
+/// differential tests cover the large-N topology.
 pub fn scale_config(n: usize, seed: u64) -> RunConfig {
     let (gap_ms, dur_ms) = match n {
         0..=1_000 => (10, 1_500),
