@@ -26,7 +26,7 @@ use ocpt_harness::{
     RunConfig, RunResult, TraceSink, WorkloadSpec,
 };
 use ocpt_metrics::{f2, Table};
-use ocpt_sim::{FaultPlan, ProcessId, SimDuration, SimTime, Topology};
+use ocpt_sim::{FaultPlan, ProcessId, SimDuration, SimTime, Topology, TraceKind, TRACE_KINDS};
 
 use args::{ArgError, Args};
 
@@ -113,6 +113,13 @@ fn parse_algo(name: &str) -> Result<Algo, ArgError> {
         "cic" => Algo::Cic,
         "uncoordinated" => Algo::Uncoordinated,
         other => return Err(ArgError(format!("unknown algorithm {other:?} (try `ocpt algos`)"))),
+    })
+}
+
+fn parse_kind(name: &str) -> Result<TraceKind, ArgError> {
+    TraceKind::from_name(name).ok_or_else(|| {
+        let names: Vec<&str> = TRACE_KINDS.iter().map(|k| k.name()).collect();
+        ArgError(format!("unknown event kind {name:?} ({})", names.join(" | ")))
     })
 }
 
@@ -261,7 +268,7 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             };
             let filter = ocpt_telemetry::GrepFilter {
                 pid: args.opt("pid")?,
-                kind: args.get("kind").map(str::to_string),
+                kind: args.get("kind").map(parse_kind).transpose()?,
                 code_prefix: args.get("code").map(str::to_string),
                 from_nanos: merge(ms_flag("after")?, ms_flag("from-ms")?, u64::max),
                 to_nanos: merge(ms_flag("before")?, ms_flag("to-ms")?, u64::min),
@@ -629,6 +636,22 @@ mod tests {
         assert!(run_cli(&["trace", "bogus"]).is_err());
         assert!(run_cli(&["trace", "summary"]).is_err());
         assert!(run_cli(&["trace", "summary", "/no/such/file.jsonl"]).is_err());
+        // A misspelled --kind is an error naming every kind, not "0 matched".
+        let empty =
+            std::env::temp_dir().join(format!("ocpt_cli_kind_{}.jsonl", std::process::id()));
+        std::fs::write(
+            &empty,
+            "{\"schema\":\"ocpt-trace\",\"version\":1,\"algo\":\"ocpt\",\"n\":2,\"seed\":0,\"events\":0}\n",
+        )
+        .expect("temp trace written");
+        let path = empty.to_str().expect("utf-8 temp path");
+        let e = run_cli(&["trace", "grep", path, "--kind", "ctrl_sendd"]).expect_err("bad kind");
+        let e = e.to_string();
+        assert!(e.contains("\"ctrl_sendd\""), "{e}");
+        assert!(TRACE_KINDS.iter().all(|k| e.contains(k.name())), "{e}");
+        let ok = run_cli(&["trace", "grep", path, "--kind", "ctrl_send"]).expect("known kind");
+        assert!(ok.contains("0 of 0 events matched"), "{ok}");
+        std::fs::remove_file(&empty).ok();
         // An option the subcommand does not read is named, never ignored.
         for (argv, stray) in [
             (&["run", "--n", "4", "--bogus", "3"][..], "--bogus"),

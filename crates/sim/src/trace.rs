@@ -99,7 +99,20 @@ impl TraceKind {
     /// Inverse of [`Self::name`] (used by the JSONL parser and the
     /// `ocpt trace grep --kind` filter).
     pub fn from_name(name: &str) -> Option<TraceKind> {
-        TRACE_KINDS.iter().copied().find(|k| k.name() == name)
+        Some(match name {
+            "app_send" => TraceKind::AppSend,
+            "app_recv" => TraceKind::AppRecv,
+            "ctrl_send" => TraceKind::CtrlSend,
+            "ctrl_recv" => TraceKind::CtrlRecv,
+            "tentative_ckpt" => TraceKind::TentativeCkpt,
+            "finalize_ckpt" => TraceKind::FinalizeCkpt,
+            "storage_start" => TraceKind::StorageStart,
+            "storage_done" => TraceKind::StorageDone,
+            "crash" => TraceKind::Crash,
+            "recover" => TraceKind::Recover,
+            "note" => TraceKind::Note,
+            _ => return None,
+        })
     }
 
     /// The default event code recorded when the producer has nothing more

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use ocpt_sim::TRACE_KINDS;
+use ocpt_sim::{TraceKind, TRACE_KINDS};
 
 use crate::record::{Rec, TraceFile};
 use crate::span::{derive_spans, SpanKind};
@@ -20,7 +20,8 @@ fn fmt_time(nanos: u64) -> String {
 /// `diff` context, and tests; stable format).
 pub fn render_rec(r: &Rec) -> String {
     let seq = r.seq.map(|s| format!("#{s}")).unwrap_or_default();
-    format!("{:>12} P{:<3} {:<16} {}{} {}", fmt_time(r.at), r.pid, r.code, r.kind, seq, r.detail)
+    let kind = r.kind.name();
+    format!("{:>12} P{:<3} {:<16} {kind}{seq} {}", fmt_time(r.at), r.pid, r.code, r.detail)
 }
 
 fn span_stats(out: &mut String, label: &str, secs: &[f64]) {
@@ -54,13 +55,14 @@ pub fn summary(f: &TraceFile) -> String {
     );
 
     let _ = writeln!(out, "events by kind:");
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut by_kind = [0u64; TRACE_KINDS.len()];
     for r in &f.recs {
-        *by_kind.entry(r.kind.as_str()).or_default() += 1;
+        by_kind[r.kind as usize] += 1;
     }
     // Fixed kind order (not alphabetical): reads like the lifecycle.
     for k in TRACE_KINDS {
-        if let Some(c) = by_kind.get(k.name()) {
+        let c = by_kind[k as usize];
+        if c > 0 {
             let _ = writeln!(out, "  {:<16} {c}", k.name());
         }
     }
@@ -159,8 +161,8 @@ pub fn diff(a: &TraceFile, b: &TraceFile, context: usize) -> DiffReport {
 pub struct GrepFilter {
     /// Only events on this process.
     pub pid: Option<u32>,
-    /// Only events of this schema kind (e.g. `"ctrl_send"`).
-    pub kind: Option<String>,
+    /// Only events of this kind.
+    pub kind: Option<TraceKind>,
     /// Only events whose code starts with this prefix (e.g. `"ctrl."`).
     pub code_prefix: Option<String>,
     /// Only events at or after this virtual time (nanoseconds).
@@ -173,7 +175,7 @@ impl GrepFilter {
     /// Does `r` pass this filter?
     pub fn matches(&self, r: &Rec) -> bool {
         self.pid.map_or(true, |p| r.pid == p)
-            && self.kind.as_deref().map_or(true, |k| r.kind == k)
+            && self.kind.map_or(true, |k| r.kind == k)
             && self.code_prefix.as_deref().map_or(true, |c| r.code.starts_with(c))
             && self.from_nanos.map_or(true, |t| r.at >= t)
             && self.to_nanos.map_or(true, |t| r.at < t)
@@ -187,12 +189,14 @@ pub fn grep<'a>(f: &'a TraceFile, filter: &GrepFilter) -> Vec<&'a Rec> {
 
 #[cfg(test)]
 mod tests {
+    use ocpt_sim::TraceKind::*;
+
     use crate::record::TraceMeta;
 
     use super::*;
 
-    fn rec(at: u64, pid: u32, kind: &str, code: &str, seq: Option<u64>) -> Rec {
-        Rec { at, pid, kind: kind.into(), code: code.into(), seq, detail: "d".into() }
+    fn rec(at: u64, pid: u32, kind: TraceKind, code: &str, seq: Option<u64>) -> Rec {
+        Rec { at, pid, kind, code: code.into(), seq, detail: "d".into() }
     }
 
     fn file(recs: Vec<Rec>) -> TraceFile {
@@ -201,11 +205,11 @@ mod tests {
 
     fn sample() -> TraceFile {
         file(vec![
-            rec(1_000, 0, "tentative_ckpt", "ckpt.tentative", Some(1)),
-            rec(2_000, 0, "ctrl_send", "ctrl.ck_bgn", Some(1)),
-            rec(3_000, 1, "ctrl_recv", "ctrl.ck_bgn", Some(1)),
-            rec(4_000, 1, "finalize_ckpt", "ckpt.finalize", Some(1)),
-            rec(5_000, 0, "finalize_ckpt", "ckpt.finalize", Some(1)),
+            rec(1_000, 0, TentativeCkpt, "ckpt.tentative", Some(1)),
+            rec(2_000, 0, CtrlSend, "ctrl.ck_bgn", Some(1)),
+            rec(3_000, 1, CtrlRecv, "ctrl.ck_bgn", Some(1)),
+            rec(4_000, 1, FinalizeCkpt, "ckpt.finalize", Some(1)),
+            rec(5_000, 0, FinalizeCkpt, "ckpt.finalize", Some(1)),
         ])
     }
 
@@ -271,15 +275,14 @@ mod tests {
             },
         );
         assert_eq!(windowed.len(), 1);
-        assert_eq!(windowed[0].kind, "ctrl_send");
-        let kinded =
-            grep(&f, &GrepFilter { kind: Some("finalize_ckpt".into()), ..GrepFilter::default() });
+        assert_eq!(windowed[0].kind, CtrlSend);
+        let kinded = grep(&f, &GrepFilter { kind: Some(FinalizeCkpt), ..GrepFilter::default() });
         assert_eq!(kinded.len(), 2);
     }
 
     #[test]
     fn render_is_stable() {
-        let r = rec(2_000, 3, "note", "recovery.line", None);
+        let r = rec(2_000, 3, Note, "recovery.line", None);
         assert_eq!(render_rec(&r), "   0.000002s P3   recovery.line    note d");
     }
 }

@@ -30,6 +30,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use ocpt_sim::TraceKind;
+
 use crate::record::TraceFile;
 use crate::span::{derive_spans, SpanKind};
 
@@ -106,7 +108,7 @@ pub fn critical_path(f: &TraceFile) -> CritReport {
     let mut grp_done: BTreeMap<u64, u64> = BTreeMap::new();
     for r in &f.recs {
         let Some(seq) = r.seq else { continue };
-        if r.kind == "ctrl_recv" {
+        if r.kind == TraceKind::CtrlRecv {
             *hops.entry(seq).or_default() += 1;
         }
         if r.code == "ctrl.ck_grp_done" {
@@ -254,12 +256,14 @@ impl CritReport {
 
 #[cfg(test)]
 mod tests {
+    use ocpt_sim::TraceKind::*;
+
     use crate::record::{Rec, TraceMeta};
 
     use super::*;
 
-    fn rec(at: u64, pid: u32, kind: &str, code: &str, seq: Option<u64>) -> Rec {
-        Rec { at, pid, kind: kind.into(), code: code.into(), seq, detail: String::new() }
+    fn rec(at: u64, pid: u32, kind: TraceKind, code: &str, seq: Option<u64>) -> Rec {
+        Rec { at, pid, kind, code: code.into(), seq, detail: String::new() }
     }
 
     fn file(recs: Vec<Rec>) -> TraceFile {
@@ -268,16 +272,16 @@ mod tests {
 
     fn round() -> TraceFile {
         file(vec![
-            rec(10, 0, "tentative_ckpt", "ckpt.tentative", Some(1)),
-            rec(20, 0, "ctrl_send", "ctrl.ck_bgn", Some(1)),
-            rec(30, 1, "ctrl_recv", "ctrl.ck_bgn", Some(1)),
-            rec(35, 1, "tentative_ckpt", "ckpt.tentative", Some(1)),
-            rec(40, 1, "ctrl_send", "ctrl.ck_end", Some(1)),
-            rec(50, 0, "ctrl_recv", "ctrl.ck_end", Some(1)),
-            rec(60, 0, "storage_start", "storage.start", Some(1)),
-            rec(80, 0, "storage_done", "storage.done", Some(1)),
-            rec(90, 0, "finalize_ckpt", "ckpt.finalize", Some(1)),
-            rec(100, 1, "finalize_ckpt", "ckpt.finalize", Some(1)),
+            rec(10, 0, TentativeCkpt, "ckpt.tentative", Some(1)),
+            rec(20, 0, CtrlSend, "ctrl.ck_bgn", Some(1)),
+            rec(30, 1, CtrlRecv, "ctrl.ck_bgn", Some(1)),
+            rec(35, 1, TentativeCkpt, "ckpt.tentative", Some(1)),
+            rec(40, 1, CtrlSend, "ctrl.ck_end", Some(1)),
+            rec(50, 0, CtrlRecv, "ctrl.ck_end", Some(1)),
+            rec(60, 0, StorageStart, "storage.start", Some(1)),
+            rec(80, 0, StorageDone, "storage.done", Some(1)),
+            rec(90, 0, FinalizeCkpt, "ckpt.finalize", Some(1)),
+            rec(100, 1, FinalizeCkpt, "ckpt.finalize", Some(1)),
         ])
     }
 
@@ -301,7 +305,7 @@ mod tests {
     #[test]
     fn grp_done_marks_hierarchical() {
         let mut f = round();
-        f.recs.insert(5, rec(45, 1, "ctrl_send", "ctrl.ck_grp_done", Some(1)));
+        f.recs.insert(5, rec(45, 1, CtrlSend, "ctrl.ck_grp_done", Some(1)));
         let rep = critical_path(&f);
         let r = &rep.rounds[0];
         assert!(r.hierarchical);
@@ -311,8 +315,8 @@ mod tests {
     #[test]
     fn round_without_wave_is_all_finalize() {
         let f = file(vec![
-            rec(10, 0, "tentative_ckpt", "ckpt.tentative", Some(2)),
-            rec(90, 0, "finalize_ckpt", "ckpt.finalize", Some(2)),
+            rec(10, 0, TentativeCkpt, "ckpt.tentative", Some(2)),
+            rec(90, 0, FinalizeCkpt, "ckpt.finalize", Some(2)),
         ]);
         let r = &critical_path(&f).rounds[0];
         assert_eq!((r.trigger_ns, r.wave_ns), (0, 0));

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ocpt_metrics::Histogram;
+use ocpt_sim::{TraceKind, TRACE_KINDS};
 
 use crate::json::Obj;
 use crate::record::TraceFile;
@@ -88,7 +89,8 @@ pub struct Health {
     pub events: u64,
     /// Timestamp of the last event.
     pub horizon_ns: u64,
-    /// Rounds with any event.
+    /// Rounds with any protocol event (a `seq` carried only by
+    /// application traffic is not a round; see [`crate::span`]).
     pub rounds_started: u64,
     /// Rounds whose every checkpoint finalized.
     pub rounds_complete: u64,
@@ -134,14 +136,14 @@ pub fn health(f: &TraceFile) -> Health {
     let rounds_complete =
         spans.iter().filter(|s| s.kind == SpanKind::Round && s.closed).count() as u64;
 
-    let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut kind_counts = [0u64; TRACE_KINDS.len()];
     let mut ctrl_sends_by_pid: BTreeMap<u32, u64> = BTreeMap::new();
     let mut grp_done = 0u64;
     let mut resends = 0u64;
     let mut lost = 0u64;
     for r in &f.recs {
-        *kind_counts.entry(r.kind.as_str()).or_default() += 1;
-        if r.kind == "ctrl_send" {
+        kind_counts[r.kind as usize] += 1;
+        if r.kind == TraceKind::CtrlSend {
             *ctrl_sends_by_pid.entry(r.pid).or_default() += 1;
         }
         if r.code == "ctrl.ck_grp_done" {
@@ -154,7 +156,7 @@ pub fn health(f: &TraceFile) -> Health {
             lost += 1;
         }
     }
-    let count = |k: &str| kind_counts.get(k).copied().unwrap_or(0);
+    let count = |k: TraceKind| kind_counts[k as usize];
     let fanout_max = ctrl_sends_by_pid.values().copied().max().unwrap_or(0);
     let fanout_mean = if ctrl_sends_by_pid.is_empty() {
         0.0
@@ -177,15 +179,15 @@ pub fn health(f: &TraceFile) -> Health {
         storage_latency: LatencyStats::over(closed(SpanKind::StorageWrite)),
         ctrl_fanout_max: fanout_max,
         ctrl_fanout_mean: fanout_mean,
-        ring_hops: count("ctrl_recv"),
+        ring_hops: count(TraceKind::CtrlRecv),
         grp_done,
-        app_unreceived: count("app_send").saturating_sub(count("app_recv")),
+        app_unreceived: count(TraceKind::AppSend).saturating_sub(count(TraceKind::AppRecv)),
         tentative_open: spans.iter().filter(|s| s.kind == SpanKind::Checkpoint && !s.closed).count()
             as u64,
         writes_open: spans.iter().filter(|s| s.kind == SpanKind::StorageWrite && !s.closed).count()
             as u64,
-        crashes: count("crash"),
-        down_at_end: count("crash").saturating_sub(count("recover")),
+        crashes: count(TraceKind::Crash),
+        down_at_end: count(TraceKind::Crash).saturating_sub(count(TraceKind::Recover)),
         resends,
         lost_in_transit: lost,
     }
@@ -315,12 +317,14 @@ impl Health {
 
 #[cfg(test)]
 mod tests {
+    use ocpt_sim::TraceKind::*;
+
     use crate::record::{Rec, TraceMeta};
 
     use super::*;
 
-    fn rec(at: u64, pid: u32, kind: &str, code: &str, seq: Option<u64>) -> Rec {
-        Rec { at, pid, kind: kind.into(), code: code.into(), seq, detail: String::new() }
+    fn rec(at: u64, pid: u32, kind: TraceKind, code: &str, seq: Option<u64>) -> Rec {
+        Rec { at, pid, kind, code: code.into(), seq, detail: String::new() }
     }
 
     fn file(recs: Vec<Rec>) -> TraceFile {
@@ -329,14 +333,14 @@ mod tests {
 
     fn healthy() -> TraceFile {
         file(vec![
-            rec(10, 0, "tentative_ckpt", "ckpt.tentative", Some(1)),
-            rec(20, 0, "ctrl_send", "ctrl.ck_bgn", Some(1)),
-            rec(30, 1, "ctrl_recv", "ctrl.ck_bgn", Some(1)),
-            rec(35, 1, "tentative_ckpt", "ckpt.tentative", Some(1)),
-            rec(60, 0, "storage_start", "storage.start", Some(1)),
-            rec(80, 0, "storage_done", "storage.done", Some(1)),
-            rec(90, 0, "finalize_ckpt", "ckpt.finalize", Some(1)),
-            rec(100, 1, "finalize_ckpt", "ckpt.finalize", Some(1)),
+            rec(10, 0, TentativeCkpt, "ckpt.tentative", Some(1)),
+            rec(20, 0, CtrlSend, "ctrl.ck_bgn", Some(1)),
+            rec(30, 1, CtrlRecv, "ctrl.ck_bgn", Some(1)),
+            rec(35, 1, TentativeCkpt, "ckpt.tentative", Some(1)),
+            rec(60, 0, StorageStart, "storage.start", Some(1)),
+            rec(80, 0, StorageDone, "storage.done", Some(1)),
+            rec(90, 0, FinalizeCkpt, "ckpt.finalize", Some(1)),
+            rec(100, 1, FinalizeCkpt, "ckpt.finalize", Some(1)),
         ])
     }
 
@@ -352,12 +356,25 @@ mod tests {
         assert!(h.render().contains("verdict: green"));
     }
 
+    /// Application messages sent before the first checkpoint carry the
+    /// sender's csn, 0; they are not a round that never closes.
+    #[test]
+    fn traffic_before_the_first_checkpoint_is_not_an_open_round() {
+        let mut f = healthy();
+        let early =
+            [rec(1, 0, AppSend, "app.send", Some(0)), rec(4, 1, AppRecv, "app.recv", Some(0))];
+        f.recs.splice(0..0, early);
+        let h = health(&f);
+        assert_eq!((h.rounds_started, h.rounds_complete), (1, 1));
+        assert!(h.is_green(), "{}", h.render());
+    }
+
     #[test]
     fn dangling_state_flips_the_verdict() {
         let mut f = healthy();
-        f.recs.push(rec(110, 1, "app_send", "app.send", None));
-        f.recs.push(rec(120, 0, "crash", "fault.crash", None));
-        f.recs.push(rec(130, 1, "note", "recovery.resend_unavailable", None));
+        f.recs.push(rec(110, 1, AppSend, "app.send", None));
+        f.recs.push(rec(120, 0, Crash, "fault.crash", None));
+        f.recs.push(rec(130, 1, Note, "recovery.resend_unavailable", None));
         let h = health(&f);
         assert!(!h.is_green());
         assert_eq!(h.app_unreceived, 1);

@@ -1,14 +1,24 @@
-//! A minimal JSON writer and object parser.
+//! A minimal JSON writer and object scanner.
 //!
 //! The `ocpt-trace` schema uses flat objects whose values are strings or
 //! unsigned integers; the `ocpt-metrics` schema adds non-negative floats,
 //! one level of nested objects and `null` (the writer's spelling of a
 //! non-finite float). This module implements exactly that subset —
-//! deliberately, not as a stopgap: a ~200-line parser we own is auditable
+//! deliberately, not as a stopgap: a small parser we own is auditable
 //! against the byte-determinism guarantee, and the build environment has
 //! no crates.io access anyway. Negative numbers, booleans and arrays are
 //! rejected because no exporter emits them.
+//!
+//! There is one of each piece. [`escape_into`] is the only escaper (the
+//! [`Obj`] writer and the trace line writer both append through it), and
+//! `Scanner` is the only grammar: it reads an object's fields in document
+//! order, with keys and strings borrowed from the input unless they hold
+//! an escape and integers parsed in the same pass. [`parse_object`] (the
+//! metrics, report and health readers) collects its fields into owned
+//! [`Value`]s; the trace reader (`export::parse_jsonl`) moves them
+//! straight into a record.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A value in a schema object.
@@ -66,23 +76,51 @@ impl Value {
     }
 }
 
-/// Escape `s` into a JSON string literal body (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Append `s` to `out` as a JSON string literal body (no surrounding
+/// quotes): `"` `\` `\n` `\r` `\t` get their short escapes, every other
+/// byte below 0x20 becomes `\u00xx`, everything else is copied. The runs
+/// between escapes are copied as whole slices, so a string with nothing
+/// to escape costs one `push_str`.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run..]);
+}
+
+/// Append the decimal digits of `v` — what `{v}` formats — through a stack
+/// buffer instead of `fmt`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
 }
 
 /// An in-order JSON object writer. Field order is the call order, which
@@ -104,20 +142,24 @@ impl Obj {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.buf.push('"');
+        escape_into(&mut self.buf, k);
+        self.buf.push_str("\":");
     }
 
     /// Append a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push('"');
+        escape_into(&mut self.buf, v);
+        self.buf.push('"');
         self
     }
 
     /// Append an unsigned-integer field.
     pub fn u64(mut self, k: &str, v: u64) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -158,156 +200,255 @@ impl Default for Obj {
 /// carry a human-readable reason; positions are byte offsets into
 /// `line`.
 pub fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let b = line.as_bytes();
-    let (fields, next) = parse_object_at(line, skip_ws(b, 0))?;
-    let i = skip_ws(b, next);
-    if i != b.len() {
-        return Err(format!("trailing content at byte {i}"));
-    }
+    let mut sc = Scanner::new(line);
+    let fields = sc.fields()?;
+    sc.end()?;
     Ok(fields)
 }
 
-/// Parse an object starting at the `{` at byte `i`; returns the fields
-/// and the index just past the closing `}`.
-fn parse_object_at(line: &str, mut i: usize) -> Result<(Vec<(String, Value)>, usize), String> {
-    let b = line.as_bytes();
-    if b.get(i) != Some(&b'{') {
-        return Err(format!("expected '{{' at byte {i}"));
-    }
-    i = skip_ws(b, i + 1);
-    let mut fields = Vec::new();
-    if b.get(i) == Some(&b'}') {
-        return Ok((fields, i + 1));
-    }
-    loop {
-        let (key, next) = parse_string(line, i)?;
-        i = skip_ws(b, next);
-        if b.get(i) != Some(&b':') {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        i = skip_ws(b, i + 1);
-        let (value, next) = parse_value(line, i)?;
-        fields.push((key, value));
-        i = skip_ws(b, next);
-        match b.get(i) {
-            Some(b',') => i = skip_ws(b, i + 1),
-            Some(b'}') => return Ok((fields, i + 1)),
-            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
+/// One scanned value. Strings borrow from the scanned text unless they
+/// contain an escape; a nested object is collected owned (no exporter
+/// writes one on a hot path).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Token<'a> {
+    Str(Cow<'a, str>),
+    UInt(u64),
+    F64(f64),
+    Obj(Vec<(String, Value)>),
+    Null,
+}
+
+impl Token<'_> {
+    fn into_value(self) -> Value {
+        match self {
+            Token::Str(s) => Value::Str(s.into_owned()),
+            Token::UInt(u) => Value::UInt(u),
+            Token::F64(f) => Value::F64(f),
+            Token::Obj(fields) => Value::Obj(fields),
+            Token::Null => Value::Null,
         }
     }
 }
 
-fn skip_ws(b: &[u8], mut i: usize) -> usize {
-    while matches!(b.get(i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        i += 1;
-    }
-    i
+/// The grammar: a cursor over one JSON object's text. Read an object as
+///
+/// ```text
+/// let mut key = sc.first_key()?;
+/// while let Some(k) = key {
+///     let v = sc.value()?;
+///     key = sc.next_key()?;
+/// }
+/// sc.end()?;
+/// ```
+///
+/// Whitespace (space, tab, CR, LF) is allowed between any two tokens.
+pub(crate) struct Scanner<'a> {
+    text: &'a str,
+    i: usize,
 }
 
-fn parse_value(line: &str, i: usize) -> Result<(Value, usize), String> {
-    let b = line.as_bytes();
-    match b.get(i) {
-        Some(b'"') => parse_string(line, i).map(|(s, n)| (Value::Str(s), n)),
-        Some(b'{') => parse_object_at(line, i).map(|(f, n)| (Value::Obj(f), n)),
-        Some(b'n') if line[i..].starts_with("null") => Ok((Value::Null, i + 4)),
-        Some(c) if c.is_ascii_digit() => parse_number(line, i),
-        _ => Err(format!("expected string, number, object or null at byte {i}")),
+impl<'a> Scanner<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Scanner { text, i: 0 }
     }
-}
 
-/// Parse a non-negative JSON number. A bare digit run is a `UInt`; a
-/// fraction or exponent part makes it an `F64` (Rust's `parse::<f64>`
-/// accepts exactly the forms the shortest-round-trip `Display` emits, so
-/// writer output always round-trips).
-fn parse_number(line: &str, i: usize) -> Result<(Value, usize), String> {
-    let b = line.as_bytes();
-    let mut j = i;
-    while matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
-        j += 1;
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.i).copied()
     }
-    let mut float = false;
-    if b.get(j) == Some(&b'.') {
-        float = true;
-        j += 1;
-        if !matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
-            return Err(format!("digit must follow '.' at byte {j}"));
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.i += 1;
         }
-        while matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
+    }
+
+    /// Open the object at the cursor: its first key, or `None` for `{}`.
+    pub(crate) fn first_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return Err(format!("expected '{{' at byte {}", self.i));
+        }
+        self.i += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.i += 1;
+            return Ok(None);
+        }
+        self.key().map(Some)
+    }
+
+    /// After a value: the next key, or `None` once the object closes.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.i += 1;
+                self.skip_ws();
+                self.key().map(Some)
+            }
+            Some(b'}') => {
+                self.i += 1;
+                Ok(None)
+            }
+            _ => Err(format!("expected ',' or '}}' at byte {}", self.i)),
+        }
+    }
+
+    /// A key and its `:`; leaves the cursor on the value.
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.i));
+        }
+        self.i += 1;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// The value at the cursor.
+    pub(crate) fn value(&mut self) -> Result<Token<'a>, String> {
+        let i = self.i;
+        match self.peek() {
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b'{') => self.fields().map(Token::Obj),
+            Some(b'n') if self.text[i..].starts_with("null") => {
+                self.i += 4;
+                Ok(Token::Null)
+            }
+            Some(c) if c.is_ascii_digit() => self.number(),
+            _ => Err(format!("expected string, number, object or null at byte {i}")),
+        }
+    }
+
+    /// Every field of the object at the cursor, owned, in document order.
+    fn fields(&mut self) -> Result<Vec<(String, Value)>, String> {
+        let mut fields = Vec::new();
+        let mut key = self.first_key()?;
+        while let Some(k) = key {
+            fields.push((k.into_owned(), self.value()?.into_value()));
+            key = self.next_key()?;
+        }
+        Ok(fields)
+    }
+
+    /// Require that nothing but whitespace follows.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.i != self.text.len() {
+            return Err(format!("trailing content at byte {}", self.i));
+        }
+        Ok(())
+    }
+
+    /// A non-negative JSON number. A bare digit run is a `UInt`, its value
+    /// accumulated while scanning; a fraction or exponent part makes it an
+    /// `F64` (Rust's `parse::<f64>` accepts exactly the forms the
+    /// shortest-round-trip `Display` emits, so writer output always
+    /// round-trips).
+    fn number(&mut self) -> Result<Token<'a>, String> {
+        let b = self.text.as_bytes();
+        let start = self.i;
+        let digit = |j: usize| matches!(b.get(j), Some(c) if c.is_ascii_digit());
+        let mut j = start;
+        // `None` once the digits overflow u64 (an error only if no
+        // fraction or exponent follows).
+        let mut int = Some(0u64);
+        while digit(j) {
+            let d = u64::from(b[j] - b'0');
+            int = int.and_then(|v| v.checked_mul(10)).and_then(|v| v.checked_add(d));
             j += 1;
         }
-    }
-    if matches!(b.get(j), Some(b'e' | b'E')) {
-        float = true;
-        j += 1;
-        if matches!(b.get(j), Some(b'+' | b'-')) {
+        let mut float = false;
+        if b.get(j) == Some(&b'.') {
+            float = true;
             j += 1;
-        }
-        if !matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
-            return Err(format!("digit must follow exponent at byte {j}"));
-        }
-        while matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
-            j += 1;
-        }
-    }
-    if float {
-        let num: f64 = line[i..j].parse().map_err(|_| format!("bad number at byte {i}"))?;
-        if !num.is_finite() {
-            return Err(format!("non-finite number at byte {i}"));
-        }
-        Ok((Value::F64(num), j))
-    } else {
-        let num: u64 =
-            line[i..j].parse().map_err(|_| format!("integer out of range at byte {i}"))?;
-        Ok((Value::UInt(num), j))
-    }
-}
-
-/// Parse a JSON string literal starting at the opening quote; returns the
-/// unescaped content and the index just past the closing quote.
-fn parse_string(line: &str, i: usize) -> Result<(String, usize), String> {
-    let b = line.as_bytes();
-    if b.get(i) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {i}"));
-    }
-    let mut out = String::new();
-    let mut j = i + 1;
-    loop {
-        match b.get(j) {
-            None => return Err(format!("unterminated string starting at byte {i}")),
-            Some(b'"') => return Ok((out, j + 1)),
-            Some(b'\\') => {
-                j += 1;
-                match b.get(j) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = line
-                            .get(j + 1..j + 5)
-                            .ok_or_else(|| format!("truncated \\u escape at byte {j}"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {j}"))?;
-                        // Surrogates never appear in our own output;
-                        // reject rather than guess.
-                        let c = char::from_u32(cp)
-                            .ok_or_else(|| format!("non-scalar \\u escape at byte {j}"))?;
-                        out.push(c);
-                        j += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {j}")),
-                }
+            if !digit(j) {
+                return Err(format!("digit must follow '.' at byte {j}"));
+            }
+            while digit(j) {
                 j += 1;
             }
-            Some(_) => {
-                // Advance one full UTF-8 character.
-                let c = line[j..].chars().next().ok_or("utf-8 boundary error")?;
-                out.push(c);
-                j += c.len_utf8();
+        }
+        if matches!(b.get(j), Some(b'e' | b'E')) {
+            float = true;
+            j += 1;
+            if matches!(b.get(j), Some(b'+' | b'-')) {
+                j += 1;
+            }
+            if !digit(j) {
+                return Err(format!("digit must follow exponent at byte {j}"));
+            }
+            while digit(j) {
+                j += 1;
+            }
+        }
+        self.i = j;
+        if !float {
+            return int
+                .map(Token::UInt)
+                .ok_or_else(|| format!("integer out of range at byte {start}"));
+        }
+        let num: f64 =
+            self.text[start..j].parse().map_err(|_| format!("bad number at byte {start}"))?;
+        if !num.is_finite() {
+            return Err(format!("non-finite number at byte {start}"));
+        }
+        Ok(Token::F64(num))
+    }
+
+    /// A string literal at the cursor: borrowed from the text when it holds
+    /// no escape, decoded into an owned copy when it does.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let (text, open) = (self.text, self.i);
+        let b = text.as_bytes();
+        if b.get(open) != Some(&b'"') {
+            return Err(format!("expected '\"' at byte {open}"));
+        }
+        let unterminated = || format!("unterminated string starting at byte {open}");
+        // `"` and `\` are ASCII, so every position this stops at is a char
+        // boundary, inside multi-byte UTF-8 or not.
+        let stop =
+            |from: usize| b[from..].iter().position(|&c| c == b'"' || c == b'\\').map(|k| from + k);
+        let mut j = stop(open + 1).ok_or_else(unterminated)?;
+        if b[j] == b'"' {
+            self.i = j + 1;
+            return Ok(Cow::Borrowed(&text[open + 1..j]));
+        }
+        let mut out = String::from(&text[open + 1..j]);
+        loop {
+            // `b[j]` is a backslash: decode one escape.
+            j += 1;
+            match b.get(j) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = text
+                        .get(j + 1..j + 5)
+                        .ok_or_else(|| format!("truncated \\u escape at byte {j}"))?;
+                    let cp = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape at byte {j}"))?;
+                    // Surrogates never appear in our own output; reject
+                    // rather than guess.
+                    let c = char::from_u32(cp)
+                        .ok_or_else(|| format!("non-scalar \\u escape at byte {j}"))?;
+                    out.push(c);
+                    j += 4;
+                }
+                _ => return Err(format!("bad escape at byte {j}")),
+            }
+            let from = j + 1;
+            j = stop(from).ok_or_else(unterminated)?;
+            out.push_str(&text[from..j]);
+            if b[j] == b'"' {
+                self.i = j + 1;
+                return Ok(Cow::Owned(out));
             }
         }
     }
@@ -387,5 +528,39 @@ mod tests {
         let f = parse_object("{\"a\":\"\\u00e9\\u0041\"}").unwrap();
         assert_eq!(f[0].1, Value::Str("éA".into()));
         assert!(parse_object("{\"a\":\"\\ud800\"}").is_err(), "lone surrogate rejected");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut sc =
+            Scanner::new("{\"plain\":\"é x\",\"k\\u0065y\":\"a\\\"b\",\"n\":18446744073709551615}");
+        let k = sc.first_key().expect("opens").expect("a field");
+        assert!(matches!(k, Cow::Borrowed("plain")));
+        assert!(matches!(sc.value(), Ok(Token::Str(Cow::Borrowed("é x")))));
+        let k = sc.next_key().expect("second key").expect("a field");
+        assert!(matches!(&k, Cow::Owned(s) if s == "key"));
+        assert_eq!(sc.value(), Ok(Token::Str(Cow::Owned("a\"b".into()))));
+        sc.next_key().expect("third key");
+        assert_eq!(sc.value(), Ok(Token::UInt(u64::MAX)));
+        assert_eq!(sc.next_key(), Ok(None));
+        assert_eq!(sc.end(), Ok(()));
+        // One past u64::MAX is out of range as an integer, fine as a float.
+        assert!(parse_object("{\"n\":18446744073709551616}").is_err());
+        assert_eq!(
+            parse_object("{\"n\":18446744073709551616.0}").expect("a float")[0].1,
+            Value::F64(18446744073709551616.0)
+        );
+    }
+
+    #[test]
+    fn integers_and_escapes_write_like_fmt() {
+        for v in [0, 7, 10, 99, 1_000_000, u64::MAX - 1, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        let mut s = String::new();
+        escape_into(&mut s, "é\u{1}\u{1f}\u{7f}\"\\\r\t\nz");
+        assert_eq!(s, "é\\u0001\\u001f\u{7f}\\\"\\\\\\r\\t\\nz");
     }
 }

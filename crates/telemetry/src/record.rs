@@ -1,6 +1,6 @@
 //! The owned record types a trace file is made of.
 
-use ocpt_sim::TraceEvent;
+use ocpt_sim::{TraceEvent, TraceKind};
 
 /// Run provenance carried in a trace file's header line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,8 +22,9 @@ pub struct Rec {
     pub at: u64,
     /// Process index.
     pub pid: u32,
-    /// Schema kind name (see [`ocpt_sim::TraceKind::name`]).
-    pub kind: String,
+    /// Event kind; the schema's `kind` field is its
+    /// [`name`](TraceKind::name).
+    pub kind: TraceKind,
     /// Stable machine-readable event code (e.g. `"ctrl.ck_bgn"`).
     pub code: String,
     /// Checkpoint round the event belongs to, when it belongs to one.
@@ -38,7 +39,7 @@ impl Rec {
         Rec {
             at: e.at.as_nanos(),
             pid: e.pid.0,
-            kind: e.kind.name().to_string(),
+            kind: e.kind,
             code: e.code.to_string(),
             seq: e.seq,
             detail: e.detail.clone(),
@@ -57,7 +58,7 @@ pub struct TraceFile {
 
 #[cfg(test)]
 mod tests {
-    use ocpt_sim::{ProcessId, SimTime, Trace, TraceKind};
+    use ocpt_sim::{ProcessId, SimTime, Trace};
 
     use super::*;
 
@@ -68,7 +69,7 @@ mod tests {
         let r = Rec::from_event(&t.events()[0]);
         assert_eq!(r.at, 3_000_000);
         assert_eq!(r.pid, 2);
-        assert_eq!(r.kind, "finalize_ckpt");
+        assert_eq!(r.kind, TraceKind::FinalizeCkpt);
         assert_eq!(r.code, "ckpt.finalize");
         assert_eq!(r.seq, Some(5));
         assert_eq!(r.detail, "C(5)");

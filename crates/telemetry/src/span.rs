@@ -10,6 +10,12 @@
 //!
 //! * **Round** — checkpoint round `seq`, globally: first event of the
 //!   round anywhere → last event of the round anywhere. No parent.
+//!   Application sends and receives carry the sender's csn, so they feed
+//!   the window too: a round's total is roughly the checkpoint interval,
+//!   not its protocol activity. A `seq` carried by application traffic
+//!   alone — the messages sent before anyone's first checkpoint are
+//!   tagged `seq` 0 — is not a round. A round with control or storage
+//!   events but no finalized checkpoint is one, and stays open.
 //! * **Wave** — the control traffic of round `seq` (`CK_BGN` →
 //!   convergence): first → last control event carrying the round.
 //!   Parent: the round.
@@ -24,6 +30,8 @@
 //!   checkpoint round).
 
 use std::collections::BTreeMap;
+
+use ocpt_sim::TraceKind;
 
 use crate::record::Rec;
 
@@ -113,23 +121,24 @@ impl Window {
 /// and its checkpoints (ascending by pid) with their storage writes, then
 /// outages (ascending by pid, then time).
 pub fn derive_spans(recs: &[Rec]) -> Vec<Span> {
-    // Pass 1: windows.
-    let mut rounds: BTreeMap<u64, Window> = BTreeMap::new();
+    // Pass 1: windows. A round's flag records whether anything but
+    // application traffic carried its `seq`.
+    let mut rounds: BTreeMap<u64, (Window, bool)> = BTreeMap::new();
     let mut waves: BTreeMap<u64, Window> = BTreeMap::new();
     let mut ckpts: BTreeMap<(u32, u64), Window> = BTreeMap::new();
     let mut writes: BTreeMap<(u32, u64), Vec<Window>> = BTreeMap::new();
     let mut outages: BTreeMap<u32, Vec<Window>> = BTreeMap::new();
 
     for r in recs {
-        match r.kind.as_str() {
-            "crash" => {
+        match r.kind {
+            TraceKind::Crash => {
                 let w = outages.entry(r.pid).or_default();
                 let mut win = Window::default();
                 win.feed(r.at);
                 w.push(win);
                 continue;
             }
-            "recover" => {
+            TraceKind::Recover => {
                 if let Some(win) =
                     outages.entry(r.pid).or_default().iter_mut().rev().find(|w| !w.closed)
                 {
@@ -141,24 +150,26 @@ pub fn derive_spans(recs: &[Rec]) -> Vec<Span> {
             _ => {}
         }
         let Some(seq) = r.seq else { continue };
-        rounds.entry(seq).or_default().feed(r.at);
-        match r.kind.as_str() {
-            "ctrl_send" | "ctrl_recv" => waves.entry(seq).or_default().feed(r.at),
-            "tentative_ckpt" => {
+        let (round, protocol) = rounds.entry(seq).or_default();
+        round.feed(r.at);
+        *protocol |= !matches!(r.kind, TraceKind::AppSend | TraceKind::AppRecv);
+        match r.kind {
+            TraceKind::CtrlSend | TraceKind::CtrlRecv => waves.entry(seq).or_default().feed(r.at),
+            TraceKind::TentativeCkpt => {
                 ckpts.entry((r.pid, seq)).or_default().feed(r.at);
             }
-            "finalize_ckpt" => {
+            TraceKind::FinalizeCkpt => {
                 let w = ckpts.entry((r.pid, seq)).or_default();
                 w.feed(r.at);
                 w.closed = true;
             }
-            "storage_start" => {
+            TraceKind::StorageStart => {
                 let v = writes.entry((r.pid, seq)).or_default();
                 let mut win = Window::default();
                 win.feed(r.at);
                 v.push(win);
             }
-            "storage_done" => {
+            TraceKind::StorageDone => {
                 if let Some(win) =
                     writes.entry((r.pid, seq)).or_default().iter_mut().find(|w| !w.closed)
                 {
@@ -173,7 +184,7 @@ pub fn derive_spans(recs: &[Rec]) -> Vec<Span> {
     // Checkpoint rounds close when every checkpoint in them closed.
     // Pass 2: assemble with parent indices.
     let mut out = Vec::new();
-    for (&seq, round) in &rounds {
+    for (&seq, (round, _)) in rounds.iter().filter(|(_, (_, protocol))| *protocol) {
         let members: Vec<&Window> =
             ckpts.iter().filter(|((_, s), _)| *s == seq).map(|(_, w)| w).collect();
         let round_idx = out.len();
@@ -244,23 +255,25 @@ pub fn derive_spans(recs: &[Rec]) -> Vec<Span> {
 
 #[cfg(test)]
 mod tests {
+    use ocpt_sim::TraceKind::*;
+
     use super::*;
 
-    fn rec(at: u64, pid: u32, kind: &str, seq: Option<u64>) -> Rec {
-        Rec { at, pid, kind: kind.into(), code: kind.into(), seq, detail: String::new() }
+    fn rec(at: u64, pid: u32, kind: TraceKind, seq: Option<u64>) -> Rec {
+        Rec { at, pid, kind, code: kind.name().into(), seq, detail: String::new() }
     }
 
     #[test]
     fn full_round_produces_nested_spans() {
         let recs = vec![
-            rec(10, 0, "tentative_ckpt", Some(1)),
-            rec(12, 0, "ctrl_send", Some(1)),
-            rec(20, 1, "ctrl_recv", Some(1)),
-            rec(21, 1, "tentative_ckpt", Some(1)),
-            rec(30, 0, "storage_start", Some(1)),
-            rec(40, 0, "storage_done", Some(1)),
-            rec(50, 0, "finalize_ckpt", Some(1)),
-            rec(55, 1, "finalize_ckpt", Some(1)),
+            rec(10, 0, TentativeCkpt, Some(1)),
+            rec(12, 0, CtrlSend, Some(1)),
+            rec(20, 1, CtrlRecv, Some(1)),
+            rec(21, 1, TentativeCkpt, Some(1)),
+            rec(30, 0, StorageStart, Some(1)),
+            rec(40, 0, StorageDone, Some(1)),
+            rec(50, 0, FinalizeCkpt, Some(1)),
+            rec(55, 1, FinalizeCkpt, Some(1)),
         ];
         let spans = derive_spans(&recs);
         let round = &spans[0];
@@ -284,7 +297,7 @@ mod tests {
 
     #[test]
     fn unfinalized_checkpoint_is_open() {
-        let recs = vec![rec(5, 0, "tentative_ckpt", Some(3))];
+        let recs = vec![rec(5, 0, TentativeCkpt, Some(3))];
         let spans = derive_spans(&recs);
         assert!(!spans[0].closed, "round open");
         let c = spans.iter().find(|s| s.kind == SpanKind::Checkpoint).unwrap();
@@ -292,12 +305,25 @@ mod tests {
     }
 
     #[test]
-    fn outages_pair_crash_and_recover() {
+    fn app_traffic_alone_is_not_a_round() {
         let recs = vec![
-            rec(100, 2, "crash", None),
-            rec(200, 2, "recover", None),
-            rec(300, 2, "crash", None),
+            rec(1, 0, AppSend, Some(0)),
+            rec(2, 1, AppRecv, Some(0)),
+            rec(3, 0, AppSend, Some(2)),
+            rec(5, 1, CtrlSend, Some(2)),
         ];
+        let spans = derive_spans(&recs);
+        let rounds: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Round).collect();
+        assert_eq!(rounds.len(), 1, "seq 0 carried only application traffic");
+        // A wave without a finalized checkpoint stays visible as open; the
+        // application send tagged with its seq widens its window.
+        assert_eq!((rounds[0].seq, rounds[0].start, rounds[0].closed), (Some(2), 3, false));
+    }
+
+    #[test]
+    fn outages_pair_crash_and_recover() {
+        let recs =
+            vec![rec(100, 2, Crash, None), rec(200, 2, Recover, None), rec(300, 2, Crash, None)];
         let spans = derive_spans(&recs);
         let outs: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Outage).collect();
         assert_eq!(outs.len(), 2);
@@ -308,11 +334,11 @@ mod tests {
     #[test]
     fn storage_writes_pair_in_order() {
         let recs = vec![
-            rec(1, 0, "tentative_ckpt", Some(1)),
-            rec(2, 0, "storage_start", Some(1)),
-            rec(3, 0, "storage_start", Some(1)),
-            rec(4, 0, "storage_done", Some(1)),
-            rec(9, 0, "storage_done", Some(1)),
+            rec(1, 0, TentativeCkpt, Some(1)),
+            rec(2, 0, StorageStart, Some(1)),
+            rec(3, 0, StorageStart, Some(1)),
+            rec(4, 0, StorageDone, Some(1)),
+            rec(9, 0, StorageDone, Some(1)),
         ];
         let spans = derive_spans(&recs);
         let ws: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::StorageWrite).collect();

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ocpt_metrics::StepSeries;
+use ocpt_sim::TraceKind;
 
 use crate::json::Obj;
 use crate::record::TraceFile;
@@ -110,7 +111,7 @@ pub fn timeline(f: &TraceFile, buckets: usize) -> Timeline {
     // control event of its round, which needs a full pass to know).
     let mut waves: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for r in &f.recs {
-        if matches!(r.kind.as_str(), "ctrl_send" | "ctrl_recv") {
+        if matches!(r.kind, TraceKind::CtrlSend | TraceKind::CtrlRecv) {
             if let Some(seq) = r.seq {
                 let w = waves.entry(seq).or_insert((r.at, r.at));
                 w.1 = w.1.max(r.at);
@@ -121,21 +122,21 @@ pub fn timeline(f: &TraceFile, buckets: usize) -> Timeline {
     for r in &f.recs {
         let b = ((r.at / bucket_ns) as usize).min(buckets - 1);
         events[b] += 1;
-        match r.kind.as_str() {
-            "app_send" => in_flight_app.add(r.at, 1),
-            "app_recv" => in_flight_app.add(r.at, -1),
-            "ctrl_send" => in_flight_ctrl.add(r.at, 1),
-            "ctrl_recv" => in_flight_ctrl.add(r.at, -1),
-            "tentative_ckpt" => tentative_open.add(r.at, 1),
-            "finalize_ckpt" => tentative_open.add(r.at, -1),
-            "storage_start" => storage_active.add(r.at, 1),
-            "storage_done" => {
+        match r.kind {
+            TraceKind::AppSend => in_flight_app.add(r.at, 1),
+            TraceKind::AppRecv => in_flight_app.add(r.at, -1),
+            TraceKind::CtrlSend => in_flight_ctrl.add(r.at, 1),
+            TraceKind::CtrlRecv => in_flight_ctrl.add(r.at, -1),
+            TraceKind::TentativeCkpt => tentative_open.add(r.at, 1),
+            TraceKind::FinalizeCkpt => tentative_open.add(r.at, -1),
+            TraceKind::StorageStart => storage_active.add(r.at, 1),
+            TraceKind::StorageDone => {
                 storage_active.add(r.at, -1);
                 durable_writes.add(r.at, 1);
             }
-            "crash" => down.add(r.at, 1),
-            "recover" => down.add(r.at, -1),
-            _ => {}
+            TraceKind::Crash => down.add(r.at, 1),
+            TraceKind::Recover => down.add(r.at, -1),
+            TraceKind::Note => {}
         }
     }
     let mut wave_depth = StepSeries::new();
@@ -238,12 +239,14 @@ impl Timeline {
 
 #[cfg(test)]
 mod tests {
+    use ocpt_sim::TraceKind::*;
+
     use crate::record::{Rec, TraceMeta};
 
     use super::*;
 
-    fn rec(at: u64, pid: u32, kind: &str, seq: Option<u64>) -> Rec {
-        Rec { at, pid, kind: kind.into(), code: kind.into(), seq, detail: String::new() }
+    fn rec(at: u64, pid: u32, kind: TraceKind, seq: Option<u64>) -> Rec {
+        Rec { at, pid, kind, code: kind.name().into(), seq, detail: String::new() }
     }
 
     fn file(recs: Vec<Rec>) -> TraceFile {
@@ -253,10 +256,10 @@ mod tests {
     #[test]
     fn gauges_follow_sends_and_receives() {
         let f = file(vec![
-            rec(0, 0, "app_send", None),
-            rec(10, 0, "app_send", None),
-            rec(50, 1, "app_recv", None),
-            rec(100, 1, "app_recv", None),
+            rec(0, 0, AppSend, None),
+            rec(10, 0, AppSend, None),
+            rec(50, 1, AppRecv, None),
+            rec(100, 1, AppRecv, None),
         ]);
         let t = timeline(&f, 10);
         assert_eq!(t.bucket_ns, 10);
@@ -275,11 +278,11 @@ mod tests {
     #[test]
     fn wave_depth_spans_first_to_last_ctrl_event() {
         let f = file(vec![
-            rec(0, 0, "tentative_ckpt", Some(1)),
-            rec(10, 0, "ctrl_send", Some(1)),
-            rec(30, 1, "ctrl_recv", Some(1)),
-            rec(90, 0, "finalize_ckpt", Some(1)),
-            rec(100, 1, "finalize_ckpt", Some(1)),
+            rec(0, 0, TentativeCkpt, Some(1)),
+            rec(10, 0, CtrlSend, Some(1)),
+            rec(30, 1, CtrlRecv, Some(1)),
+            rec(90, 0, FinalizeCkpt, Some(1)),
+            rec(100, 1, FinalizeCkpt, Some(1)),
         ]);
         let t = timeline(&f, 10);
         let wave = t.series.iter().find(|s| s.name == "wave_depth").unwrap();
@@ -302,7 +305,7 @@ mod tests {
 
     #[test]
     fn json_is_versioned_and_parseable() {
-        let f = file(vec![rec(5, 0, "app_send", None), rec(9, 1, "app_recv", None)]);
+        let f = file(vec![rec(5, 0, AppSend, None), rec(9, 1, AppRecv, None)]);
         let j = timeline(&f, 4).to_json();
         assert!(j.starts_with("{\"schema\":\"ocpt-timeline\",\"version\":1,"));
         let fields = crate::json::parse_object(j.trim_end()).expect("timeline JSON parses");

@@ -44,9 +44,9 @@ fn assert_hierarchical_shape(f: &ocpt::telemetry::TraceFile, spans: &[Span]) {
         let seq = round.seq.expect("rounds carry a seq");
         let waves: Vec<&Span> =
             spans.iter().filter(|s| s.kind == SpanKind::Wave && s.parent == Some(*i)).collect();
-        // The initial round (no CK_BGN trigger) legitimately has no wave;
-        // every other round gets exactly one.
-        assert!(waves.len() <= 1, "round {seq}: more than one wave child");
+        // Every round has exactly one wave. (The application traffic before
+        // the first checkpoint is tagged seq 0 but is not a round.)
+        assert_eq!(waves.len(), 1, "round {seq}: not one wave child");
         if let Some(wave) = waves.first() {
             waved_rounds += 1;
             assert!(
@@ -107,9 +107,9 @@ fn auto_above_threshold_trace_derives_spans_at_n600() {
             p.seq
         );
     }
-    // Waved rounds are labelled grouped (the initial wave-less round is not).
+    // Every round ran a wave, so every closed round is labelled grouped.
     assert!(
-        closed.iter().any(|p| p.hierarchical && p.grp_done > 0),
-        "no closed round marked hierarchical"
+        closed.iter().all(|p| p.hierarchical && p.grp_done > 0),
+        "a closed round not marked hierarchical"
     );
 }

@@ -196,6 +196,24 @@ fn metrics_v2_round_trips_through_the_parser() {
     assert_eq!(render(&fields) + "\n", m, "parse → re-render must be the identity");
 }
 
+/// A fault-free selective run ends with nothing dangling, so its health
+/// verdict is green — in particular, the application traffic before the
+/// first checkpoint (tagged `seq` 0) is not counted as a round left open.
+#[test]
+fn fault_free_selective_run_reads_green() {
+    let mut cfg = RunConfig::new(4, 42);
+    cfg.workload_duration = SimDuration::from_millis(1_000);
+    cfg.checkpoint_interval = SimDuration::from_millis(250);
+    cfg.state_bytes = 256 * 1024;
+    cfg.trace = true;
+    let r = run_checked(&Algo::ocpt(), cfg);
+    let f = telemetry::parse_jsonl(&r.trace_jsonl()).expect("own trace parses");
+    assert!(f.recs.iter().any(|e| e.seq == Some(0)), "pre-checkpoint traffic is tagged seq 0");
+    let h = telemetry::health(&f);
+    assert!(h.rounds_started >= 3, "{}", h.render());
+    assert!(h.is_green(), "{}", h.render());
+}
+
 #[test]
 fn diff_pins_a_perturbed_event() {
     let mut cfg = RunConfig::new(3, 17);
