@@ -12,11 +12,9 @@
 //! all within one marker-flood round-trip of each other — which is exactly
 //! the clustered-write pattern the paper's algorithm exists to avoid.
 
-use ocpt_core::AppPayload;
+use ocpt_core::{wire_cost, AppPayload, CheckpointProtocol, EnvTelemetry, ProtoAction};
 use ocpt_metrics::Counters;
 use ocpt_sim::{MsgId, ProcessId};
-
-use crate::api::{wire_cost, CheckpointProtocol, EnvTelemetry, ProtoAction};
 
 /// Envelope for Chandy–Lamport runs.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -12,11 +12,9 @@
 //! Experiments E3/E8 use this baseline to quantify forced-checkpoint
 //! counts and the pre-processing latency OCPT avoids.
 
-use ocpt_core::AppPayload;
+use ocpt_core::{wire_cost, AppPayload, CheckpointProtocol, EnvTelemetry, ProtoAction};
 use ocpt_metrics::Counters;
 use ocpt_sim::{MsgId, ProcessId};
-
-use crate::api::{wire_cost, CheckpointProtocol, EnvTelemetry, ProtoAction};
 
 /// Envelope for CIC runs: application messages piggyback the index.
 #[derive(Clone, Debug, PartialEq, Eq)]

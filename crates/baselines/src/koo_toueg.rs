@@ -13,11 +13,9 @@
 //! cannot send between tentative and commit (E2); (2) *clustered storage
 //! writes* — all processes write their state in phase 1 (E1).
 
-use ocpt_core::AppPayload;
+use ocpt_core::{wire_cost, AppPayload, CheckpointProtocol, EnvTelemetry, ProtoAction};
 use ocpt_metrics::Counters;
 use ocpt_sim::{MsgId, ProcessId};
-
-use crate::api::{wire_cost, CheckpointProtocol, EnvTelemetry, ProtoAction};
 
 /// Envelope for Koo–Toueg runs.
 #[derive(Clone, Debug, PartialEq, Eq)]

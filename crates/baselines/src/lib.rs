@@ -1,8 +1,11 @@
-//! # ocpt-baselines — comparator algorithms and the shared protocol trait
+//! # ocpt-baselines — comparator algorithms
 //!
 //! The related work the paper positions against (§1, §4), implemented
-//! clean-room behind one driver-facing trait so every algorithm runs on
-//! the identical simulator, storage model and workloads:
+//! clean-room behind `ocpt_core`'s driver-facing
+//! [`ocpt_core::CheckpointProtocol`] trait — the one the paper's
+//! algorithm ([`ocpt_core::OcptProcess`]) implements too — so every
+//! algorithm runs on the identical simulator, storage model and
+//! workloads:
 //!
 //! | Algorithm | Class | Key cost under study |
 //! |---|---|---|
@@ -11,23 +14,18 @@
 //! | [`Staggered`] | synchronous, staggered writes \[11\] | serialised writes, long tail, token traffic |
 //! | [`Cic`] | communication-induced [1, 8] | forced checkpoints **before** message processing |
 //! | [`Uncoordinated`] | asynchronous | domino effect at recovery |
-//! | [`OcptAdapter`] | **the paper's algorithm** | — |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod api;
 pub mod chandy_lamport;
 pub mod cic;
 pub mod koo_toueg;
-pub mod ocpt_adapter;
 pub mod staggered;
 pub mod uncoordinated;
 
-pub use api::{CheckpointProtocol, ProtoAction};
 pub use chandy_lamport::{ChandyLamport, ClEnv};
 pub use cic::{Cic, CicEnv};
 pub use koo_toueg::{KooToueg, KtEnv};
-pub use ocpt_adapter::OcptAdapter;
 pub use staggered::{StagEnv, Staggered};
 pub use uncoordinated::{UncoordEnv, Uncoordinated};

@@ -16,11 +16,9 @@
 //! (serialised writes on a consistent line) — the property under study —
 //! is preserved.
 
-use ocpt_core::AppPayload;
+use ocpt_core::{wire_cost, AppPayload, CheckpointProtocol, EnvTelemetry, ProtoAction};
 use ocpt_metrics::Counters;
 use ocpt_sim::{MsgId, ProcessId};
-
-use crate::api::{wire_cost, CheckpointProtocol, EnvTelemetry, ProtoAction};
 
 /// Envelope for staggered-checkpointing runs.
 #[derive(Clone, Debug, PartialEq, Eq)]

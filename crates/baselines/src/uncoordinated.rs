@@ -10,11 +10,9 @@
 //! the observer's exact message record) and compares the work lost against
 //! OCPT's bounded rollback.
 
-use ocpt_core::AppPayload;
+use ocpt_core::{wire_cost, AppPayload, CheckpointProtocol, ProtoAction};
 use ocpt_metrics::Counters;
 use ocpt_sim::{MsgId, ProcessId};
-
-use crate::api::{wire_cost, CheckpointProtocol, ProtoAction};
 
 /// Envelope for uncoordinated runs: bare application messages.
 #[derive(Clone, Debug, PartialEq, Eq)]

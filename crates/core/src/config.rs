@@ -121,9 +121,6 @@ fn isqrt_ceil(v: u64) -> u64 {
 /// Configuration of the OCPT protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct OcptConfig {
-    /// Period of scheduled basic checkpoints ("once in every time interval
-    /// of t seconds", §1).
-    pub checkpoint_interval: SimDuration,
     /// Convergence timer: if a tentative checkpoint is not finalized within
     /// this span, the control-message machinery starts (§3.5.1).
     pub convergence_timeout: SimDuration,
@@ -147,7 +144,7 @@ pub struct OcptConfig {
     /// Shape of the control wave: the paper's flat ring, explicit groups,
     /// or the automatic √N sharding above a size threshold.
     pub control_topology: ControlTopology,
-    /// When tentative checkpoints are flushed (driver-level policy).
+    /// When tentative checkpoints are flushed.
     pub flush_policy: FlushPolicy,
     /// When the finalization writes land on stable storage.
     pub finalize_write: WritePolicy,
@@ -161,7 +158,6 @@ pub struct OcptConfig {
 impl Default for OcptConfig {
     fn default() -> Self {
         OcptConfig {
-            checkpoint_interval: SimDuration::from_secs(1),
             convergence_timeout: SimDuration::from_millis(250),
             control_messages: true,
             optimize_ck_bgn: true,
@@ -203,9 +199,6 @@ impl OcptConfig {
     /// case 1), so it is rejected here; a dedicated test shows the hazard
     /// by bypassing validation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.checkpoint_interval.is_zero() {
-            return Err("checkpoint_interval must be positive".into());
-        }
         if self.control_messages && self.convergence_timeout.is_zero() {
             return Err("convergence_timeout must be positive".into());
         }
@@ -267,9 +260,9 @@ mod tests {
 
     #[test]
     fn zero_intervals_rejected() {
-        let c = OcptConfig { checkpoint_interval: SimDuration::ZERO, ..Default::default() };
-        assert!(c.validate().is_err());
         let c = OcptConfig { convergence_timeout: SimDuration::ZERO, ..Default::default() };
         assert!(c.validate().is_err());
+        // Without control messages no convergence timer is ever armed.
+        assert!(OcptConfig { control_messages: false, ..c }.validate().is_ok());
     }
 }

@@ -39,16 +39,16 @@
 
 use ocpt_sim::ProcessId;
 
-use crate::actions::{Action, Outbox};
+use crate::api::ProtoAction;
 use crate::error::ProtocolError;
-use crate::protocol::OcptProcess;
+use crate::protocol::{OcptProcess, Out};
 use crate::types::{Csn, Status};
-use crate::wire::{CtrlKind, CtrlMsg};
+use crate::wire::{CtrlKind, CtrlMsg, Envelope};
 
 impl OcptProcess {
     /// The convergence timer for checkpoint `csn` fired (Fig. 4, "When the
     /// timer for finalizing the tentative checkpoint on P_i expires").
-    pub fn on_timer(&mut self, csn: Csn, out: &mut Outbox) {
+    pub(crate) fn on_convergence_timer(&mut self, csn: Csn, out: &mut Out) {
         // Stale or already-resolved timers are ignored.
         if self.status() != Status::Tentative || self.csn() != csn {
             return;
@@ -76,19 +76,14 @@ impl OcptProcess {
                 }
             }
             self.stats_mut().inc("ctrl.bgn_sent");
-            out.push(Action::SendCtrl {
-                dst: ProcessId::P0,
-                cm: CtrlMsg { kind: CtrlKind::CkBgn, csn },
-            });
+            send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
         }
         self.maybe_rearm(out);
     }
 
-    fn maybe_rearm(&mut self, out: &mut Outbox) {
+    fn maybe_rearm(&mut self, out: &mut Out) {
         if self.config().rearm_timer && self.status() == Status::Tentative {
-            self.timer_armed = true;
-            self.stats_mut().inc("timer.set");
-            out.push(Action::SetTimer { csn: self.csn() });
+            self.arm_convergence_timer(out);
         }
     }
 
@@ -104,7 +99,7 @@ impl OcptProcess {
     ///
     /// If the chosen hop is `P_0` and we *are* `P_0`, the ring is complete:
     /// broadcast `CK_END` and finalize.
-    pub(crate) fn forward_ck_req(&mut self, out: &mut Outbox) {
+    pub(crate) fn forward_ck_req(&mut self, out: &mut Out) {
         // [OCPT §3.5.1] case 2 (CK_REQ skipping): route the ring token past
         // processes already known tentative.
         let csn = self.csn();
@@ -122,12 +117,12 @@ impl OcptProcess {
             return;
         }
         self.stats_mut().inc("ctrl.req_sent");
-        out.push(Action::SendCtrl { dst, cm: CtrlMsg { kind: CtrlKind::CkReq, csn } });
+        send_ctrl(out, dst, CtrlMsg { kind: CtrlKind::CkReq, csn });
     }
 
     /// `P_0` learned that every process has taken the tentative checkpoint:
     /// broadcast `CK_END` (once) and finalize its own checkpoint.
-    fn complete_ring(&mut self, out: &mut Outbox) {
+    fn complete_ring(&mut self, out: &mut Out) {
         debug_assert_eq!(self.id(), ProcessId::P0);
         if self.ck_end_sent_for != Some(self.csn()) {
             self.broadcast_ck_end(out);
@@ -145,7 +140,7 @@ impl OcptProcess {
     /// starvation-free in the two-tier wave — whenever a leader finalizes
     /// `csn` its members hear `CK_END(csn)`, so a stale alarm at an
     /// already-advanced leader can be ignored safely.
-    pub(crate) fn broadcast_ck_end(&mut self, out: &mut Outbox) {
+    pub(crate) fn broadcast_ck_end(&mut self, out: &mut Out) {
         let csn = self.csn();
         if self.ck_end_sent_for == Some(csn) {
             return;
@@ -156,21 +151,21 @@ impl OcptProcess {
         let fanout;
         if self.hier_group_size().is_none() {
             for dst in ProcessId::all(self.n()).filter(|d| *d != me) {
-                out.push(Action::SendCtrl { dst, cm });
+                send_ctrl(out, dst, cm);
             }
             fanout = self.n() as u64 - 1;
         } else {
             let mut sent = 0u64;
             if me == ProcessId::P0 {
                 for g in 1..self.num_groups() {
-                    out.push(Action::SendCtrl { dst: self.leader_of(g), cm });
+                    send_ctrl(out, self.leader_of(g), cm);
                     sent += 1;
                 }
             }
             if self.is_group_leader() {
                 let g = self.group_of(me);
                 for id in (me.0 + 1)..self.group_end(g) {
-                    out.push(Action::SendCtrl { dst: ProcessId(id), cm });
+                    send_ctrl(out, ProcessId(id), cm);
                     sent += 1;
                 }
             }
@@ -184,7 +179,7 @@ impl OcptProcess {
         &mut self,
         src: ProcessId,
         cm: CtrlMsg,
-        out: &mut Outbox,
+        out: &mut Vec<ProtoAction<Envelope>>,
     ) -> Result<(), ProtocolError> {
         let _ = src;
         self.stats_mut().inc("ctrl.received");
@@ -192,9 +187,8 @@ impl OcptProcess {
         // Timer cancellation rule: "the timer is canceled when … it
         // receives a CM with sequence number equal to that of its current
         // tentative checkpoint."
-        if self.status() == Status::Tentative && cm.csn == self.csn() && self.timer_armed {
-            self.timer_armed = false;
-            out.push(Action::CancelTimer);
+        if self.status() == Status::Tentative && cm.csn == self.csn() {
+            self.cancel_convergence_timer(out);
         }
 
         if self.hier_group_size().is_some() {
@@ -274,7 +268,7 @@ impl OcptProcess {
     /// The §3.5.1 suppression rule applies *within each tier*: a member
     /// stays quiet when a smaller-id member of its own group is known
     /// tentative; a leader stays quiet when a smaller-id *leader* is.
-    fn on_timer_hier(&mut self, csn: Csn, out: &mut Outbox) {
+    fn on_timer_hier(&mut self, csn: Csn, out: &mut Out) {
         if self.id() == ProcessId::P0 {
             self.start_global_wave(out);
         } else if self.is_group_leader() {
@@ -290,10 +284,7 @@ impl OcptProcess {
                 }
             }
             self.stats_mut().inc("ctrl.bgn_sent");
-            out.push(Action::SendCtrl {
-                dst: ProcessId::P0,
-                cm: CtrlMsg { kind: CtrlKind::CkBgn, csn },
-            });
+            send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
         } else {
             let leader = self.leader_of(self.group_of(self.id()));
             if self.config().optimize_ck_bgn
@@ -306,7 +297,7 @@ impl OcptProcess {
                 return;
             }
             self.stats_mut().inc("ctrl.bgn_sent");
-            out.push(Action::SendCtrl { dst: leader, cm: CtrlMsg { kind: CtrlKind::CkBgn, csn } });
+            send_ctrl(out, leader, CtrlMsg { kind: CtrlKind::CkBgn, csn });
         }
         self.maybe_rearm(out);
     }
@@ -318,7 +309,7 @@ impl OcptProcess {
         &mut self,
         src: ProcessId,
         cm: CtrlMsg,
-        out: &mut Outbox,
+        out: &mut Out,
     ) -> Result<(), ProtocolError> {
         if cm.csn == self.csn() + 1 {
             if cm.kind == CtrlKind::CkEnd {
@@ -382,10 +373,7 @@ impl OcptProcess {
                     // token straight back to its leader.
                     let leader = self.leader_of(self.group_of(self.id()));
                     self.stats_mut().inc("ctrl.req_sent");
-                    out.push(Action::SendCtrl {
-                        dst: leader,
-                        cm: CtrlMsg { kind: CtrlKind::CkReq, csn: self.csn() },
-                    });
+                    send_ctrl(out, leader, CtrlMsg { kind: CtrlKind::CkReq, csn: self.csn() });
                 } else if self.ck_req_sent_for != Some(self.csn()) {
                     self.forward_ck_req_in_group(out);
                 }
@@ -411,7 +399,7 @@ impl OcptProcess {
 
     /// `P_0` launches the two-tier wave (once per round): `CK_REQ` to the
     /// leader of every other group, then its own group-0 ring.
-    fn start_global_wave(&mut self, out: &mut Outbox) {
+    fn start_global_wave(&mut self, out: &mut Out) {
         debug_assert_eq!(self.id(), ProcessId::P0);
         let csn = self.csn();
         if self.ck_req_sent_for == Some(csn) {
@@ -419,10 +407,7 @@ impl OcptProcess {
         }
         for g in 1..self.num_groups() {
             self.stats_mut().inc("ctrl.req_sent");
-            out.push(Action::SendCtrl {
-                dst: self.leader_of(g),
-                cm: CtrlMsg { kind: CtrlKind::CkReq, csn },
-            });
+            send_ctrl(out, self.leader_of(g), CtrlMsg { kind: CtrlKind::CkReq, csn });
         }
         // Our own group-0 ring (sets ck_req_sent_for).
         self.forward_ck_req_in_group(out);
@@ -432,7 +417,7 @@ impl OcptProcess {
     /// the member ids of this group (skipping known tentatives under the
     /// §3.5.1 case 2 optimization) and returns to the leader. A leader
     /// whose members are all known tentative closes the ring on the spot.
-    fn forward_ck_req_in_group(&mut self, out: &mut Outbox) {
+    fn forward_ck_req_in_group(&mut self, out: &mut Out) {
         let csn = self.csn();
         let g = self.group_of(self.id());
         let leader = self.leader_of(g);
@@ -452,12 +437,12 @@ impl OcptProcess {
             return;
         }
         self.stats_mut().inc("ctrl.req_sent");
-        out.push(Action::SendCtrl { dst, cm: CtrlMsg { kind: CtrlKind::CkReq, csn } });
+        send_ctrl(out, dst, CtrlMsg { kind: CtrlKind::CkReq, csn });
     }
 
     /// A leader's group ring completed for the current csn: tell `P_0`
     /// (once). `P_0` reporting its own group records it directly.
-    fn report_group_done(&mut self, out: &mut Outbox) {
+    fn report_group_done(&mut self, out: &mut Out) {
         if self.id() == ProcessId::P0 {
             self.mark_group_done(0, out);
             return;
@@ -468,16 +453,13 @@ impl OcptProcess {
         }
         self.grp_done_sent_for = Some(csn);
         self.stats_mut().inc("ctrl.grp_done_sent");
-        out.push(Action::SendCtrl {
-            dst: ProcessId::P0,
-            cm: CtrlMsg { kind: CtrlKind::CkGrpDone, csn },
-        });
+        send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkGrpDone, csn });
     }
 
     /// `P_0` bookkeeping: group `group`'s ring completed for the current
     /// csn. When every group has reported, the round ends — `CK_END` goes
     /// out along the hierarchy (the analog of [`Self::complete_ring`]).
-    fn mark_group_done(&mut self, group: u32, out: &mut Outbox) {
+    fn mark_group_done(&mut self, group: u32, out: &mut Out) {
         debug_assert_eq!(self.id(), ProcessId::P0);
         let csn = self.csn();
         let num = self.num_groups() as usize;
@@ -500,25 +482,26 @@ impl OcptProcess {
 
     /// A leader learned (via a member's `CK_BGN`) that the round is not
     /// converging: escalate to `P_0`, once per round.
-    fn escalate_ck_bgn(&mut self, out: &mut Outbox) {
+    fn escalate_ck_bgn(&mut self, out: &mut Out) {
         let csn = self.csn();
         if self.ck_bgn_sent_for == Some(csn) {
             return;
         }
         self.ck_bgn_sent_for = Some(csn);
         self.stats_mut().inc("ctrl.bgn_sent");
-        out.push(Action::SendCtrl {
-            dst: ProcessId::P0,
-            cm: CtrlMsg { kind: CtrlKind::CkBgn, csn },
-        });
+        send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
     }
+}
+
+fn send_ctrl(out: &mut Out, dst: ProcessId, cm: CtrlMsg) {
+    out.push(ProtoAction::Send { dst, env: Envelope::Ctrl(cm) });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OcptConfig;
-    use crate::log::MessageLog;
+    use crate::config::{OcptConfig, WritePolicy};
+    use crate::policy::{conv_tag, conv_timer, written_log};
     use crate::wire::AppPayload;
     use ocpt_sim::MsgId;
 
@@ -534,10 +517,10 @@ mod tests {
         proc_with(i, n, OcptConfig::default())
     }
 
-    fn ctrl_sends(out: &Outbox) -> Vec<(ProcessId, CtrlMsg)> {
+    fn ctrl_sends(out: &Out) -> Vec<(ProcessId, CtrlMsg)> {
         out.iter()
             .filter_map(|a| match a {
-                Action::SendCtrl { dst, cm } => Some((*dst, *cm)),
+                ProtoAction::Send { dst, env: Envelope::Ctrl(cm) } => Some((*dst, *cm)),
                 _ => None,
             })
             .collect()
@@ -546,35 +529,35 @@ mod tests {
     #[test]
     fn tentative_checkpoint_arms_timer() {
         let mut q = proc(1, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
-        assert!(out.contains(&Action::SetTimer { csn: 1 }));
+        assert!(out.contains(&conv_timer(1)));
     }
 
     #[test]
     fn timer_expiry_sends_ck_bgn_to_p0() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out), vec![(p(0), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 })]);
     }
 
     #[test]
     fn stale_timer_ignored() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(0, &mut out); // old csn
+        q.on_convergence_timer(0, &mut out); // old csn
         assert!(out.is_empty());
     }
 
     #[test]
     fn ck_bgn_suppressed_when_smaller_id_known() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         // Learn that P1 is tentative via an app message.
         let pb = crate::piggyback::Piggyback::new(
@@ -585,7 +568,7 @@ mod tests {
         q.on_app_receive(p(1), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert!(ctrl_sends(&out).is_empty(), "CK_BGN must be suppressed");
         assert_eq!(q.stats().get("ctrl.bgn_suppressed"), 1);
     }
@@ -593,7 +576,7 @@ mod tests {
     #[test]
     fn naive_mode_never_suppresses() {
         let mut q = proc_with(2, 4, OcptConfig::naive_control());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let pb = crate::piggyback::Piggyback::new(
             1,
@@ -603,17 +586,17 @@ mod tests {
         q.on_app_receive(p(1), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out).len(), 1);
     }
 
     #[test]
     fn p0_timer_starts_req_ring() {
         let mut q = proc(0, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         // P0 knows only itself tentative → token goes to P1.
         assert_eq!(ctrl_sends(&out), vec![(p(1), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
     }
@@ -621,7 +604,7 @@ mod tests {
     #[test]
     fn req_skip_optimization_skips_known_tentatives() {
         let mut q = proc(0, 5);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         // P0 learns P1 and P2 are tentative.
         let mut ts = crate::types::TentSet::singleton(5, p(1));
@@ -630,7 +613,7 @@ mod tests {
         q.on_app_receive(p(1), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         // Token skips P1, P2 and lands on P3.
         assert_eq!(ctrl_sends(&out), vec![(p(3), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
     }
@@ -638,7 +621,7 @@ mod tests {
     #[test]
     fn naive_req_walks_the_full_ring() {
         let mut q = proc_with(0, 5, OcptConfig::naive_control());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let mut ts = crate::types::TentSet::singleton(5, p(1));
         ts.insert(p(2));
@@ -646,7 +629,7 @@ mod tests {
         q.on_app_receive(p(1), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out), vec![(p(1), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
     }
 
@@ -654,7 +637,7 @@ mod tests {
     fn ck_req_one_ahead_takes_checkpoint_and_forwards() {
         // P2 is normal at csn 0; CK_REQ(1) arrives.
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.on_ctrl_receive(p(1), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         assert_eq!(q.csn(), 1);
@@ -662,27 +645,27 @@ mod tests {
         // Forwards to P3 (knows only itself).
         assert_eq!(ctrl_sends(&out), vec![(p(3), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
         // No timer armed: this CM would cancel it immediately.
-        assert!(!out.contains(&Action::SetTimer { csn: 1 }));
+        assert!(!out.contains(&conv_timer(1)));
     }
 
     #[test]
     fn ck_req_one_ahead_finalizes_pending_first() {
         // P2 tentative at csn 1; CK_REQ(2) arrives → finalize 1, take 2.
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(1), CtrlMsg { kind: CtrlKind::CkReq, csn: 2 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         assert_eq!(q.csn(), 2);
-        assert!(out.iter().any(|a| matches!(a, Action::Finalize { csn: 1, .. })));
-        assert!(out.iter().any(|a| matches!(a, Action::TakeTentative { csn: 2 })));
+        assert!(out.iter().any(|a| matches!(a, ProtoAction::Complete { seq: 1 })));
+        assert!(out.iter().any(|a| matches!(a, ProtoAction::Snapshot { seq: 2 })));
     }
 
     #[test]
     fn last_process_returns_token_to_p0() {
         let mut q = proc(3, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.on_ctrl_receive(p(2), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         assert_eq!(ctrl_sends(&out), vec![(p(0), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
@@ -691,7 +674,7 @@ mod tests {
     #[test]
     fn p0_on_token_return_broadcasts_end_and_finalizes() {
         let mut q = proc(0, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(3), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
@@ -699,7 +682,7 @@ mod tests {
         let sends = ctrl_sends(&out);
         let ends: Vec<_> = sends.iter().filter(|(_, cm)| cm.kind == CtrlKind::CkEnd).collect();
         assert_eq!(ends.len(), 3); // P1, P2, P3
-        assert!(out.iter().any(|a| matches!(a, Action::Finalize { csn: 1, .. })));
+        assert!(out.iter().any(|a| matches!(a, ProtoAction::Complete { seq: 1 })));
         assert_eq!(q.status(), Status::Normal);
         // A second token return must not re-broadcast.
         out.clear();
@@ -711,13 +694,13 @@ mod tests {
     #[test]
     fn ck_end_finalizes_tentative() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 1 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
         assert_eq!(q.status(), Status::Normal);
-        assert!(out.iter().any(|a| matches!(a, Action::Finalize { csn: 1, .. })));
+        assert!(out.iter().any(|a| matches!(a, ProtoAction::Complete { seq: 1 })));
         // Duplicate CK_END is harmless.
         out.clear();
         q.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 1 }, &mut out)
@@ -728,12 +711,12 @@ mod tests {
     #[test]
     fn ctrl_with_current_csn_cancels_timer() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(1), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
-        assert!(out.contains(&Action::CancelTimer));
+        assert!(out.contains(&ProtoAction::CancelTimer { tag: conv_tag(1) }));
     }
 
     #[test]
@@ -741,7 +724,7 @@ mod tests {
         // P0 finalized csn 1 (normal). A late CK_BGN(1) arrives: P0 must
         // answer with CK_END so the sender can finalize (§3.5.1 case 1 fix).
         let mut q = proc_with(0, 3, OcptConfig::naive_control());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         // Learn everyone took it → finalize.
         let mut ts = crate::types::TentSet::singleton(3, p(1));
@@ -761,7 +744,7 @@ mod tests {
     #[test]
     fn duplicate_ck_bgn_deduped_by_req_guard() {
         let mut q = proc(0, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(2), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 }, &mut out)
@@ -778,7 +761,7 @@ mod tests {
         // Default config: p0_broadcast_on_finalize = true. P0 finalizing
         // via app traffic still broadcasts CK_END.
         let mut q = proc(0, 2);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let pb = crate::piggyback::Piggyback::new(
             1,
@@ -796,7 +779,7 @@ mod tests {
     #[test]
     fn stale_ctrl_ignored_and_jump_is_error() {
         let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out); // csn 1
         out.clear();
         q.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 0 }, &mut out)
@@ -818,7 +801,7 @@ mod tests {
     fn fig5_walkthrough() {
         let n = 4;
         let mut procs: Vec<OcptProcess> = (0..4).map(|i| proc(i as u32, n)).collect();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let pl = AppPayload { id: 0, len: 0 };
 
         // P1 takes CT_{1,1} and sends M2 to P2.
@@ -842,12 +825,12 @@ mod tests {
         out.clear();
 
         // P2's timer would fire but is suppressed (knows P1 < P2).
-        procs[2].on_timer(1, &mut out);
+        procs[2].on_convergence_timer(1, &mut out);
         assert!(ctrl_sends(&out).is_empty());
         out.clear();
 
         // P1's timer fires → CK_BGN to P0.
-        procs[1].on_timer(1, &mut out);
+        procs[1].on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out), vec![(p(0), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 })]);
         out.clear();
 
@@ -891,7 +874,7 @@ mod tests {
                 .on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 1 }, &mut out)
                 .expect("scripted Fig. 4/5 replay step must be accepted");
             assert_eq!(procs[i].status(), Status::Normal, "P{i} finalized");
-            assert!(out.iter().any(|a| matches!(a, Action::Finalize { csn: 1, .. })));
+            assert!(out.iter().any(|a| matches!(a, ProtoAction::Complete { seq: 1 })));
             out.clear();
         }
         for q in &procs {
@@ -917,17 +900,17 @@ mod tests {
     #[test]
     fn hier_member_alarms_its_leader() {
         let mut q = hier_proc(4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out), vec![(p(3), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 })]);
     }
 
     #[test]
     fn hier_member_suppressed_by_smaller_group_mate() {
         let mut q = hier_proc(5);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let pb = crate::piggyback::Piggyback::new(
             1,
@@ -937,7 +920,7 @@ mod tests {
         q.on_app_receive(p(4), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted hier replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert!(ctrl_sends(&out).is_empty(), "CK_BGN must be suppressed inside the group");
         assert_eq!(q.stats().get("ctrl.bgn_suppressed"), 1);
     }
@@ -947,7 +930,7 @@ mod tests {
         // P4 knows P1 (group 0) is tentative — irrelevant to its own
         // group, so it still alarms its leader.
         let mut q = hier_proc(4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let pb = crate::piggyback::Piggyback::new(
             1,
@@ -957,14 +940,14 @@ mod tests {
         q.on_app_receive(p(1), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted hier replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert_eq!(ctrl_sends(&out), vec![(p(3), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 })]);
     }
 
     #[test]
     fn hier_leader_escalates_once() {
         let mut q = hier_proc(3);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.on_ctrl_receive(p(4), CtrlMsg { kind: CtrlKind::CkBgn, csn: 1 }, &mut out)
             .expect("scripted hier replay step must be accepted");
         assert_eq!(q.status(), Status::Tentative, "one-ahead CK_BGN makes the leader join");
@@ -978,7 +961,7 @@ mod tests {
     #[test]
     fn hier_leader_suppressed_by_smaller_leader() {
         let mut q = hier_proc(6);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         let pb = crate::piggyback::Piggyback::new(
             1,
@@ -988,17 +971,17 @@ mod tests {
         q.on_app_receive(p(3), MsgId(1), AppPayload { id: 1, len: 0 }, &pb, &mut out)
             .expect("scripted hier replay step must be accepted");
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         assert!(ctrl_sends(&out).is_empty(), "leader CK_BGN suppressed by smaller leader");
     }
 
     #[test]
     fn hier_p0_wave_fans_out_to_leaders_and_own_ring() {
         let mut q = hier_proc(0);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(1, &mut out);
+        q.on_convergence_timer(1, &mut out);
         let sends = ctrl_sends(&out);
         // CK_REQ to leaders P3 and P6, plus the group-0 ring token to P1.
         let mut dsts: Vec<u32> = sends.iter().map(|(d, _)| d.0).collect();
@@ -1019,7 +1002,7 @@ mod tests {
         let mut l = hier_proc(3);
         let mut m4 = hier_proc(4);
         let mut m5 = hier_proc(5);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         l.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
             .expect("scripted hier replay step must be accepted");
         assert_eq!(ctrl_sends(&out), vec![(p(4), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 })]);
@@ -1045,10 +1028,10 @@ mod tests {
     #[test]
     fn hier_p0_ends_round_after_all_groups_report() {
         let mut q = hier_proc(0);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
-        q.on_timer(1, &mut out); // launch the wave
+        q.on_convergence_timer(1, &mut out); // launch the wave
         out.clear();
         // Own ring returns.
         q.on_ctrl_receive(p(2), CtrlMsg { kind: CtrlKind::CkReq, csn: 1 }, &mut out)
@@ -1076,7 +1059,7 @@ mod tests {
     #[test]
     fn hier_leader_relays_ck_end_to_members() {
         let mut q = hier_proc(6);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         out.clear();
         q.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 1 }, &mut out)
@@ -1094,10 +1077,10 @@ mod tests {
     fn hier_wave_converges_all_nine() {
         let n = 9;
         let mut procs: Vec<OcptProcess> = (0..n as u32).map(hier_proc).collect();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         procs[4].initiate_checkpoint(&mut out);
         out.clear();
-        procs[4].on_timer(1, &mut out);
+        procs[4].on_convergence_timer(1, &mut out);
         let mut queue: Vec<(ProcessId, ProcessId, CtrlMsg)> =
             ctrl_sends(&out).into_iter().map(|(d, cm)| (p(4), d, cm)).collect();
         let mut hops = 0u32;
@@ -1130,21 +1113,17 @@ mod tests {
     #[test]
     fn finalize_log_excludes_nothing_on_ctrl_path() {
         // Messages logged before CK_END must all be flushed.
-        let mut q = proc(2, 4);
-        let mut out = Outbox::new();
+        let cfg = OcptConfig { finalize_write: WritePolicy::Immediate, ..OcptConfig::default() };
+        let mut q = proc_with(2, 4, cfg);
+        let mut out = Vec::new();
         q.initiate_checkpoint(&mut out);
         q.on_app_send(p(3), MsgId(10), AppPayload { id: 1, len: 8 });
         out.clear();
         q.on_ctrl_receive(p(0), CtrlMsg { kind: CtrlKind::CkEnd, csn: 1 }, &mut out)
             .expect("scripted Fig. 4/5 replay step must be accepted");
-        let log = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { log, .. } => Some(log.clone()),
-                _ => None,
-            })
-            .expect("scripted Fig. 4/5 replay step must be accepted");
+        let (csn, log) = written_log(&out).expect("the finalized log is written");
+        assert_eq!(csn, 1);
         assert_eq!(log.len(), 1);
-        assert_ne!(log, MessageLog::new());
+        assert_eq!(log.entries()[0].msg_id, MsgId(10));
     }
 }

@@ -19,12 +19,15 @@
 //!
 //! [`OcptProcess`] is a **sans-io state machine**: handlers consume one
 //! event (application send/receive, control message, timer) and append
-//! [`Action`]s for the driver to execute. The same type runs on the
+//! [`ProtoAction`]s for the driver to execute — the one action vocabulary
+//! every algorithm in the workspace speaks through [`CheckpointProtocol`].
+//! The process also decides when its checkpoint's bytes are written
+//! (the flush and write policies, [`policy`]). The same type runs on the
 //! deterministic simulator (`ocpt-harness`) and on OS threads
 //! (`ocpt-runtime`).
 //!
 //! ```
-//! use ocpt_core::{Action, OcptConfig, OcptProcess};
+//! use ocpt_core::{OcptConfig, OcptProcess, ProtoAction};
 //! use ocpt_sim::{MsgId, ProcessId};
 //!
 //! let mut p0 = OcptProcess::new(ProcessId(0), 2, OcptConfig::default());
@@ -40,18 +43,19 @@
 //! // ...and P1, on receipt, takes its own tentative checkpoint; with
 //! // N = 2 it immediately knows everyone has, so it finalizes.
 //! p1.on_app_receive(ProcessId(0), MsgId(0), payload, &pb, &mut out).expect("accepted");
-//! assert!(out.iter().any(|a| matches!(a, Action::Finalize { csn: 1, .. })));
+//! assert!(out.contains(&ProtoAction::Complete { seq: 1 }));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod actions;
+pub mod api;
 pub mod config;
 pub mod control;
 pub mod error;
 pub mod log;
 pub mod piggyback;
+pub mod policy;
 pub mod protocol;
 pub mod recovery;
 pub mod snapshot;
@@ -59,7 +63,7 @@ pub mod strategy;
 pub mod types;
 pub mod wire;
 
-pub use actions::{Action, Outbox};
+pub use api::{wire_cost, CheckpointProtocol, EnvTelemetry, ProtoAction};
 pub use config::{ControlTopology, FlushPolicy, OcptConfig, WritePolicy};
 pub use error::ProtocolError;
 pub use log::{Direction, EntryKind, LogEntry, MessageLog};

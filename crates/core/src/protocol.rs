@@ -14,23 +14,29 @@
 //!   message reveals a peer already finalized.
 //!
 //! The control-message extension (Fig. 4) lives in [`crate::control`] as a
-//! second `impl` block on the same type.
+//! second `impl` block on the same type; the storage policies and the
+//! driver-facing [`crate::CheckpointProtocol`] impl live in
+//! [`crate::policy`].
 //!
 //! The type is sans-io: handlers mutate local state and append
-//! [`Action`]s; they never block, never read clocks, never touch sockets.
+//! [`ProtoAction`]s; they never block, never read clocks, never touch
+//! sockets.
 
 use ocpt_causality::VClock;
 use ocpt_metrics::Counters;
-use ocpt_sim::{MsgId, ProcessId};
+use ocpt_sim::{MsgId, ProcessId, SimRng};
 
-use crate::actions::{Action, Outbox};
+use crate::api::ProtoAction;
 use crate::config::OcptConfig;
 use crate::error::ProtocolError;
 use crate::log::{Direction, LogEntry, MessageLog};
 use crate::piggyback::Piggyback;
 use crate::strategy::{LogDecision, LogWindow};
 use crate::types::{Csn, Status, TentSet};
-use crate::wire::AppPayload;
+use crate::wire::{AppPayload, Envelope};
+
+/// The action buffer every handler appends to.
+pub(crate) type Out = Vec<ProtoAction<Envelope>>;
 
 /// The per-process OCPT protocol state machine.
 // [OCPT §3.3] csn_i, stat_i, tentSet_i, logSet_i — the paper's per-process
@@ -70,13 +76,37 @@ pub struct OcptProcess {
     /// Resolved control sharding: `Some(group_size)` when this system runs
     /// hierarchical waves, `None` for the paper's flat ring.
     hier_group_size: Option<u32>,
+    /// Piggyback of the application message between `on_arrival` and
+    /// `after_delivery` (the paper processes the message first, §3.4.3).
+    pub(crate) arrived: Option<Piggyback>,
+    /// csn whose tentative state has been (or is being) flushed.
+    pub(crate) state_flushed_for: Option<Csn>,
+    /// csn with a pending jittered-flush timer.
+    pub(crate) flush_timer_for: Option<Csn>,
+    /// Finalized logs whose writes wait on the write policy's timer.
+    pub(crate) deferred_writes: Vec<(Csn, MessageLog)>,
+    /// csn at the previous scheduled tick: a tick initiates only if no
+    /// round has touched this process since — the paper's "no process
+    /// takes more than one checkpoint in any time interval of t seconds"
+    /// (§1).
+    pub(crate) csn_at_last_tick: Csn,
+    /// Draws the jittered flush and write delays.
+    pub(crate) rng: SimRng,
     stats: Counters,
 }
 
 impl OcptProcess {
     /// A process `id` in a system of `n`, in `Normal` status with the
-    /// initial checkpoint (sequence number 0) conceptually taken.
+    /// initial checkpoint (sequence number 0) conceptually taken. Its
+    /// jitter draws come from seed 0; a driver with a run seed uses
+    /// [`Self::seeded`].
     pub fn new(id: ProcessId, n: usize, cfg: OcptConfig) -> Self {
+        Self::seeded(id, n, cfg, 0)
+    }
+
+    /// [`Self::new`] drawing the jittered flush and write delays from
+    /// `seed`'s stream for this process.
+    pub fn seeded(id: ProcessId, n: usize, cfg: OcptConfig, seed: u64) -> Self {
         assert!(n >= 2, "need at least two processes");
         assert!(id.index() < n, "pid out of range");
         cfg.validate().expect("invalid OcptConfig");
@@ -96,20 +126,30 @@ impl OcptProcess {
             grp_done_sent_for: None,
             groups_done: None,
             hier_group_size: cfg.control_topology.group_size(n),
+            arrived: None,
+            state_flushed_for: None,
+            flush_timer_for: None,
+            deferred_writes: Vec::new(),
+            csn_at_last_tick: 0,
+            rng: SimRng::derive(seed, 0x0C97_4F1C ^ id.0 as u64),
             stats: Counters::new(),
         }
     }
 
-    /// A process restored from the consistent global checkpoint `S_line`
-    /// during rollback recovery: `Normal` status, sequence number `line`,
-    /// empty log — exactly the protocol state a process has right after
-    /// its finalization event `CFE_{i,line}`, which is where the restored
-    /// application state sits.
-    pub fn restored(id: ProcessId, n: usize, cfg: OcptConfig, line: Csn) -> Self {
-        let mut p = Self::new(id, n, cfg);
-        p.csn = line;
-        p.stats.inc("recovery.restored");
-        p
+    /// Roll back to the consistent global checkpoint `S_line`: `Normal`
+    /// status, sequence number `line`, empty log and fresh counters —
+    /// exactly the protocol state a process has right after its
+    /// finalization event `CFE_{i,line}`, which is where the restored
+    /// application state sits. The jitter stream continues where it was.
+    pub(crate) fn restore(&mut self, line: Csn) {
+        let rng = self.rng.clone();
+        *self = OcptProcess {
+            csn: line,
+            csn_at_last_tick: line,
+            rng,
+            ..OcptProcess::new(self.id, self.n, self.cfg)
+        };
+        self.stats.inc("recovery.restored");
     }
 
     // ---- accessors ----
@@ -211,7 +251,7 @@ impl OcptProcess {
     /// checkpoint was taken; a `Tentative` process skips (it "is allowed to
     /// take another tentative checkpoint only after finalizing the already
     /// taken tentative checkpoint").
-    pub fn initiate_checkpoint(&mut self, out: &mut Outbox) -> bool {
+    pub fn initiate_checkpoint(&mut self, out: &mut Vec<ProtoAction<Envelope>>) -> bool {
         if self.status == Status::Tentative {
             self.stats.inc("ckpt.initiation_skipped");
             return false;
@@ -223,7 +263,7 @@ impl OcptProcess {
     /// `takeTentativeCheckpoint(i)` from Fig. 3. `arm_timer` is false when
     /// the caller immediately knows the ring is already running (Fig. 4's
     /// cancellation rule would cancel it in the same breath).
-    pub(crate) fn take_tentative(&mut self, out: &mut Outbox, arm_timer: bool) {
+    pub(crate) fn take_tentative(&mut self, out: &mut Out, arm_timer: bool) {
         debug_assert_eq!(self.status, Status::Normal, "cannot take tentative while tentative");
         self.csn += 1;
         self.status = Status::Tentative;
@@ -237,11 +277,10 @@ impl OcptProcess {
             LogWindow::Continuous => self.log.mark_replay_start(),
         }
         self.stats.inc("ckpt.tentative");
-        out.push(Action::TakeTentative { csn: self.csn });
+        out.push(ProtoAction::Snapshot { seq: self.csn });
+        self.schedule_state_flush(out);
         if arm_timer && self.cfg.control_messages {
-            self.timer_armed = true;
-            self.stats.inc("timer.set");
-            out.push(Action::SetTimer { csn: self.csn });
+            self.arm_convergence_timer(out);
         }
     }
 
@@ -274,7 +313,7 @@ impl OcptProcess {
         msg_id: MsgId,
         payload: AppPayload,
         pb: &Piggyback,
-        out: &mut Outbox,
+        out: &mut Vec<ProtoAction<Envelope>>,
     ) -> Result<(), ProtocolError> {
         self.stats.inc("app.received");
         // Causal-compressed only: snapshot the clock *before* this receive
@@ -344,7 +383,7 @@ impl OcptProcess {
                     // csn. Finalize, excluding M (`logSet_i - {M}`); the
                     // sealed cut clock predates M for the same reason.
                     let trigger = self.log.take(msg_id);
-                    self.finalize_at_cut(Some(msg_id), pre_clock, out);
+                    self.finalize_at_cut(true, pre_clock, out);
                     self.relog_trigger(trigger);
                     Ok(())
                 } else {
@@ -375,7 +414,7 @@ impl OcptProcess {
                     // receive precedes the new CT, so a carried-over
                     // trigger lands before the new replay window.
                     let trigger = self.log.take(msg_id);
-                    self.finalize_at_cut(Some(msg_id), pre_clock, out);
+                    self.finalize_at_cut(true, pre_clock, out);
                     self.relog_trigger(trigger);
                     self.take_tentative(out, true);
                     self.tent_set.merge(&pb.tent_set);
@@ -436,36 +475,34 @@ impl OcptProcess {
     /// §3.4.4: finalize if `tentSet_i = allPSet`.
     // [OCPT §3.4.4] finalization predicate: tentSet_i = allPSet, or word
     // from an already-finalized / already-advanced sender.
-    pub(crate) fn maybe_finalize_full(&mut self, out: &mut Outbox) {
+    pub(crate) fn maybe_finalize_full(&mut self, out: &mut Out) {
         if self.status == Status::Tentative && self.tent_set.is_full() {
             self.finalize(out);
         }
     }
 
     /// Finalize with no excluded trigger (control path / allPSet path).
-    pub(crate) fn finalize(&mut self, out: &mut Outbox) {
-        self.finalize_excluding(None, out);
-    }
-
-    /// Finalize the current tentative checkpoint: freeze and hand over the
-    /// log, return to `Normal`, cancel the timer, and (when configured)
-    /// have `P_0` broadcast `CK_END` so suppressed processes cannot starve.
-    /// `excluded` names the trigger message removed from the log
-    /// (`logSet_i - {M}`), if any.
-    pub(crate) fn finalize_excluding(&mut self, excluded: Option<MsgId>, out: &mut Outbox) {
+    pub(crate) fn finalize(&mut self, out: &mut Out) {
         let cut = self.clock.clone();
-        self.finalize_at_cut(excluded, cut, out);
+        self.finalize_at_cut(false, cut, out);
     }
 
-    /// [`OcptProcess::finalize_excluding`] with an explicit cut clock:
-    /// cases (3b)/(2c) pass the pre-receive clock because the trigger `M`
-    /// is excluded from the cut, every other path seals the current one.
-    /// The sealed clock gets one extra own-component tick — the checkpoint
-    /// is itself a local event, the same convention the observer oracle
-    /// uses, so two checkpoints compare as ordered *iff* a message crosses
-    /// the cut (Theorem 2). `cut` is `None` unless causal-compressed
-    /// logging is configured.
-    fn finalize_at_cut(&mut self, excluded: Option<MsgId>, cut: Option<VClock>, out: &mut Outbox) {
+    /// Finalize the current tentative checkpoint: freeze the log, return
+    /// to `Normal`, cancel the timer, mark the cut and hand the checkpoint
+    /// to the write policy, and (when configured) have `P_0` broadcast
+    /// `CK_END` so suppressed processes cannot starve.
+    ///
+    /// `trigger_excluded` is set when the receipt of `M` triggered the
+    /// finalization and `M` was removed from the log (`logSet_i - {M}`,
+    /// sub-cases (3b)/(2c)): the cut then sits one event back, before
+    /// `receive(M)` — the paper's `CFE_{i,k} -hb-> receive(M)` ordering in
+    /// Theorem 2 Case 2 — and `cut` is the pre-receive clock. The sealed
+    /// clock gets one extra own-component tick — the checkpoint is itself
+    /// a local event, the same convention the observer oracle uses, so two
+    /// checkpoints compare as ordered *iff* a message crosses the cut
+    /// (Theorem 2). `cut` is `None` unless causal-compressed logging is
+    /// configured.
+    fn finalize_at_cut(&mut self, trigger_excluded: bool, cut: Option<VClock>, out: &mut Out) {
         debug_assert_eq!(self.status, Status::Tentative, "finalize requires tentative status");
         self.status = Status::Normal;
         self.stats.inc("ckpt.finalized");
@@ -475,13 +512,9 @@ impl OcptProcess {
         }
         self.stats.add("log.flushed_msgs", self.log.len() as u64);
         self.stats.add("log.flushed_bytes", self.log.flush_bytes());
-        if self.timer_armed {
-            self.timer_armed = false;
-            out.push(Action::CancelTimer);
-        }
+        self.cancel_convergence_timer(out);
         let log = std::mem::take(&mut self.log);
-        let csn = self.csn;
-        out.push(Action::Finalize { csn, log, excluded });
+        self.commit(log, trigger_excluded, out);
         // Flat: P_0 broadcasts CK_END to everyone. Hierarchical: P_0
         // notifies the leaders (plus its own group), and every finalizing
         // leader relays to its members — the "leaders exchange CK_END
@@ -499,6 +532,8 @@ impl OcptProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WritePolicy;
+    use crate::policy::written_log;
 
     fn payload(id: u64) -> AppPayload {
         AppPayload { id, len: 100 }
@@ -506,8 +541,10 @@ mod tests {
 
     fn proc(i: u32, n: usize) -> OcptProcess {
         // Plain-basic config (no control messages) keeps these unit tests
-        // focused on Fig. 3; Fig. 4 is tested in `control`.
-        OcptProcess::new(ProcessId(i), n, OcptConfig::basic_only())
+        // focused on Fig. 3; Fig. 4 is tested in `control`. Immediate
+        // writes put the finalized log in the same action batch.
+        let cfg = OcptConfig { finalize_write: WritePolicy::Immediate, ..OcptConfig::basic_only() };
+        OcptProcess::new(ProcessId(i), n, cfg)
     }
 
     fn pb_of(p: &OcptProcess) -> Piggyback {
@@ -526,13 +563,13 @@ mod tests {
     #[test]
     fn initiation_takes_tentative_once() {
         let mut p = proc(0, 4);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         assert!(p.initiate_checkpoint(&mut out));
         assert_eq!(p.csn(), 1);
         assert_eq!(p.status(), Status::Tentative);
         assert!(p.tent_set().contains(ProcessId(0)));
         assert_eq!(p.tent_set().len(), 1);
-        assert_eq!(out, vec![Action::TakeTentative { csn: 1 }]);
+        assert_eq!(out, vec![ProtoAction::Snapshot { seq: 1 }]);
         // While tentative, a second initiation is refused (§3.4).
         out.clear();
         assert!(!p.initiate_checkpoint(&mut out));
@@ -546,7 +583,7 @@ mod tests {
         let pb = p.on_app_send(ProcessId(1), MsgId(1), payload(1));
         assert_eq!(pb.stat, Status::Normal);
         assert!(p.log().is_empty());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         let pb = p.on_app_send(ProcessId(1), MsgId(2), payload(2));
         assert_eq!(pb.stat, Status::Tentative);
@@ -561,7 +598,7 @@ mod tests {
         // The per-send piggyback is a refcount bump of tentSet storage —
         // the grid engine's hot-path guarantee.
         let mut p = proc(0, 256);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         let before = TentSet::deep_copies();
         let mut last = None;
@@ -580,7 +617,7 @@ mod tests {
     fn case1_normal_normal_is_noop() {
         let mut receiver = proc(1, 3);
         let sender = proc(0, 3);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let pb = pb_of(&sender);
         receiver
             .on_app_receive(ProcessId(0), MsgId(1), payload(1), &pb, &mut out)
@@ -594,7 +631,7 @@ mod tests {
     fn case4b_first_news_takes_tentative_and_merges() {
         let mut sender = proc(0, 3);
         let mut receiver = proc(1, 3);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         sender.initiate_checkpoint(&mut out);
         let pb = sender.on_app_send(ProcessId(1), MsgId(1), payload(1));
         out.clear();
@@ -607,7 +644,7 @@ mod tests {
         assert!(receiver.tent_set().contains(ProcessId(0)));
         assert!(receiver.tent_set().contains(ProcessId(1)));
         assert_eq!(receiver.tent_set().len(), 2);
-        assert_eq!(out, vec![Action::TakeTentative { csn: 1 }]);
+        assert_eq!(out, vec![ProtoAction::Snapshot { seq: 1 }]);
         // M itself is NOT in the new log: it was received before CT_{1,1}.
         assert!(receiver.log().is_empty());
     }
@@ -617,7 +654,7 @@ mod tests {
         // With N = 2, receiving the initiator's message completes allPSet.
         let mut sender = proc(0, 2);
         let mut receiver = proc(1, 2);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         sender.initiate_checkpoint(&mut out);
         let pb = sender.on_app_send(ProcessId(1), MsgId(1), payload(1));
         out.clear();
@@ -626,12 +663,15 @@ mod tests {
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(receiver.status(), Status::Normal);
         assert_eq!(
-            out,
-            vec![
-                Action::TakeTentative { csn: 1 },
-                Action::Finalize { csn: 1, log: MessageLog::new(), excluded: None }
+            out[..4],
+            [
+                ProtoAction::Snapshot { seq: 1 },
+                ProtoAction::MarkCut { seq: 1, back: 0 },
+                ProtoAction::Complete { seq: 1 },
+                ProtoAction::FlushState { seq: 1 },
             ]
         );
+        assert_eq!(written_log(&out), Some((1, &MessageLog::new())));
     }
 
     #[test]
@@ -640,7 +680,7 @@ mod tests {
         let mut receiver = proc(1, 3);
         receiver.csn = 2;
         let pb = Piggyback::new(1, Status::Tentative, TentSet::singleton(3, ProcessId(0)));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         receiver
             .on_app_receive(ProcessId(0), MsgId(9), payload(9), &pb, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
@@ -652,7 +692,7 @@ mod tests {
     fn case2b_merges_and_finalizes_when_full() {
         let n = 3;
         let mut p = proc(2, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         out.clear();
         // Peer P1 knows {P0, P1}.
@@ -663,12 +703,8 @@ mod tests {
             .expect("paper §3.4.3 case analysis must accept this delivery");
         // tentSet now full → finalize, and M (id 5) is INCLUDED in the log.
         assert_eq!(p.status(), Status::Normal);
-        let fin = out.iter().find_map(|a| match a {
-            Action::Finalize { csn, log, .. } => Some((csn, log)),
-            _ => None,
-        });
-        let (csn, log) = fin.expect("finalize action");
-        assert_eq!(*csn, 1);
+        let (csn, log) = written_log(&out).expect("finalize writes the log");
+        assert_eq!(csn, 1);
         assert_eq!(log.len(), 1);
         assert_eq!(log.entries()[0].msg_id, MsgId(5));
     }
@@ -677,7 +713,7 @@ mod tests {
     fn case2b_partial_knowledge_keeps_logging() {
         let n = 4;
         let mut p = proc(3, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         out.clear();
         let pb = Piggyback::new(1, Status::Tentative, TentSet::singleton(n, ProcessId(1)));
@@ -693,7 +729,7 @@ mod tests {
     fn case3b_finalize_excludes_trigger() {
         let n = 3;
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         // Log some traffic first.
         p.on_app_send(ProcessId(2), MsgId(7), payload(7));
@@ -703,13 +739,7 @@ mod tests {
         p.on_app_receive(ProcessId(0), MsgId(8), payload(8), &pb, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(p.status(), Status::Normal);
-        let (_, log) = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { csn, log, .. } => Some((csn, log)),
-                _ => None,
-            })
-            .expect("finalize");
+        let (_, log) = written_log(&out).expect("finalize");
         // M8 excluded, M7 (sent) retained — exactly the paper's Fig. 2
         // treatment of M8/M9.
         assert_eq!(log.len(), 1);
@@ -720,7 +750,7 @@ mod tests {
     fn case3a_stale_normal_sender_logged_no_action() {
         let n = 3;
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out); // csn 1
         p.csn = 2; // simulate being at a later checkpoint
         out.clear();
@@ -736,7 +766,7 @@ mod tests {
     fn case2c_finalize_then_join_new_initiation() {
         let n = 3;
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out); // csn 1, tentative
         p.on_app_send(ProcessId(0), MsgId(3), payload(3));
         out.clear();
@@ -747,17 +777,13 @@ mod tests {
         // Finalized csn 1 excluding M4, then took tentative csn 2.
         assert_eq!(p.csn(), 2);
         assert_eq!(p.status(), Status::Tentative);
-        let kinds: Vec<&Action> = out.iter().collect();
-        match (&kinds[0], &kinds[1]) {
-            (
-                Action::Finalize { csn: 1, log, excluded: Some(_) },
-                Action::TakeTentative { csn: 2 },
-            ) => {
-                assert_eq!(log.len(), 1);
-                assert_eq!(log.entries()[0].msg_id, MsgId(3));
-            }
-            other => panic!("unexpected actions {other:?}"),
-        }
+        assert_eq!(out[0], ProtoAction::MarkCut { seq: 1, back: 1 });
+        assert_eq!(out[1], ProtoAction::Complete { seq: 1 });
+        assert_eq!(out[4], ProtoAction::Snapshot { seq: 2 });
+        let (csn, log) = written_log(&out).expect("C_1 is written");
+        assert_eq!(csn, 1);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.entries()[0].msg_id, MsgId(3));
         // New tentSet = {P1} ∪ {P2}.
         assert_eq!(p.tent_set().len(), 2);
         // New log does not contain M4.
@@ -768,7 +794,7 @@ mod tests {
     fn case2a_stale_both_tentative_logged_only() {
         let n = 3;
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         p.csn = 3; // ahead of the sender
         out.clear();
@@ -785,7 +811,7 @@ mod tests {
         let n = 3;
         // (2d): both tentative, jump of 2.
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         let pb = Piggyback::new(3, Status::Tentative, TentSet::singleton(n, ProcessId(0)));
         let e = p.on_app_receive(ProcessId(0), MsgId(1), payload(1), &pb, &mut out).unwrap_err();
@@ -793,7 +819,7 @@ mod tests {
 
         // (3c): sender normal ahead of tentative us.
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         let pb = Piggyback::new(2, Status::Normal, TentSet::empty(n));
         let e = p.on_app_receive(ProcessId(0), MsgId(1), payload(1), &pb, &mut out).unwrap_err();
@@ -801,14 +827,14 @@ mod tests {
 
         // (4c): we normal, sender tentative two ahead.
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let pb = Piggyback::new(2, Status::Tentative, TentSet::singleton(n, ProcessId(0)));
         let e = p.on_app_receive(ProcessId(0), MsgId(1), payload(1), &pb, &mut out).unwrap_err();
         assert!(matches!(e, ProtocolError::AppCsnJump { subcase: "4c", .. }));
 
         // Case (1) analogue: both normal, sender ahead.
         let mut p = proc(1, n);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let pb = Piggyback::new(1, Status::Normal, TentSet::empty(n));
         let e = p.on_app_receive(ProcessId(0), MsgId(1), payload(1), &pb, &mut out).unwrap_err();
         assert!(matches!(e, ProtocolError::FinalizedAhead { .. }));
@@ -817,7 +843,7 @@ mod tests {
     #[test]
     fn stats_track_log_flush() {
         let mut p = proc(0, 2);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.initiate_checkpoint(&mut out);
         p.on_app_send(ProcessId(1), MsgId(1), payload(1));
         // P1 tentative at same csn with full knowledge.
@@ -840,7 +866,7 @@ mod tests {
     fn fig2_walkthrough() {
         let n = 4;
         let mut p: Vec<OcptProcess> = (0..4).map(|i| proc(i, n)).collect();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let pl = payload(0);
 
         // M1: P3 -> P2 before any checkpoint: plain case (1).
@@ -888,13 +914,7 @@ mod tests {
         p[2].on_app_receive(ProcessId(3), MsgId(5), pl, &pb5, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(p[2].status(), Status::Normal);
-        let (csn, log) = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { csn, log, .. } => Some((*csn, log.clone())),
-                _ => None,
-            })
-            .expect("P2 finalizes");
+        let (csn, log) = written_log(&out).map(|(c, l)| (c, l.clone())).expect("P2 finalizes");
         assert_eq!(csn, 1);
         // C_{2,1} log = {M6 (sent), M5 (received)} — matches the paper's
         // C_{2,1} = CT_{2,1} ∪ {M5, M6}.
@@ -909,13 +929,7 @@ mod tests {
         p[1].on_app_receive(ProcessId(2), MsgId(7), pl, &pb7, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(p[1].status(), Status::Normal);
-        let (_, log1) = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { csn, log, .. } => Some((*csn, log.clone())),
-                _ => None,
-            })
-            .expect("P1 finalizes");
+        let (_, log1) = written_log(&out).map(|(c, l)| (c, l.clone())).expect("P1 finalizes");
         assert!(log1.entries().iter().all(|e| e.msg_id != MsgId(7)), "M7 excluded");
         out.clear();
 
@@ -924,13 +938,7 @@ mod tests {
         p[3].on_app_receive(ProcessId(1), MsgId(8), pl, &pb8, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(p[3].status(), Status::Normal);
-        let (_, log3) = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { csn, log, .. } => Some((*csn, log.clone())),
-                _ => None,
-            })
-            .expect("P3 finalizes");
+        let (_, log3) = written_log(&out).map(|(c, l)| (c, l.clone())).expect("P3 finalizes");
         assert!(log3.entries().iter().all(|e| e.msg_id != MsgId(8)), "M8 excluded");
         out.clear();
 
@@ -939,13 +947,7 @@ mod tests {
         p[0].on_app_receive(ProcessId(3), MsgId(9), pl, &pb9, &mut out)
             .expect("paper §3.4.3 case analysis must accept this delivery");
         assert_eq!(p[0].status(), Status::Normal);
-        let (_, log0) = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Finalize { csn, log, .. } => Some((*csn, log.clone())),
-                _ => None,
-            })
-            .expect("P0 finalizes");
+        let (_, log0) = written_log(&out).map(|(c, l)| (c, l.clone())).expect("P0 finalizes");
         assert!(log0.entries().iter().all(|e| e.msg_id != MsgId(9)), "M9 excluded");
         out.clear();
 

@@ -77,9 +77,8 @@ pub enum Envelope {
 }
 
 impl Envelope {
-    /// Total bytes of this envelope on the wire (headers included), for a
-    /// system of `n` processes.
-    pub fn wire_bytes(&self, _n: usize) -> u64 {
+    /// Total bytes of this envelope on the wire (headers included).
+    pub fn wire_bytes(&self) -> u64 {
         match self {
             Envelope::App { pb, payload } => {
                 (ENV_HEADER_BYTES + pb.wire_bytes() + APP_FIXED_BYTES) as u64 + payload.len as u64
@@ -131,7 +130,7 @@ impl std::error::Error for WireError {}
 /// Encode an envelope. `payload.len` filler bytes are materialised for app
 /// messages so the encoding length equals [`Envelope::wire_bytes`].
 pub fn encode_envelope(env: &Envelope, n: usize) -> Bytes {
-    let mut b = BytesMut::with_capacity(env.wire_bytes(n) as usize);
+    let mut b = BytesMut::with_capacity(env.wire_bytes() as usize);
     b.put_u8(WIRE_VERSION);
     match env {
         Envelope::App { pb, payload } => {
@@ -302,7 +301,7 @@ mod tests {
     fn app_round_trip() {
         let env = sample_app(5);
         let enc = encode_envelope(&env, 5);
-        assert_eq!(enc.len() as u64, env.wire_bytes(5));
+        assert_eq!(enc.len() as u64, env.wire_bytes());
         let (dec, n) = decode_envelope(enc).expect("wire round-trip must decode");
         assert_eq!(dec, env);
         assert_eq!(n, 5);
@@ -313,7 +312,7 @@ mod tests {
         for kind in [CtrlKind::CkBgn, CtrlKind::CkReq, CtrlKind::CkEnd, CtrlKind::CkGrpDone] {
             let env = Envelope::Ctrl(CtrlMsg { kind, csn: 3 });
             let enc = encode_envelope(&env, 8);
-            assert_eq!(enc.len() as u64, env.wire_bytes(8));
+            assert_eq!(enc.len() as u64, env.wire_bytes());
             let (dec, _) = decode_envelope(enc).expect("wire round-trip must decode");
             assert_eq!(dec, env);
         }
@@ -322,8 +321,8 @@ mod tests {
     #[test]
     fn ctrl_is_small_and_constant() {
         let env = Envelope::Ctrl(CtrlMsg { kind: CtrlKind::CkBgn, csn: u64::MAX });
-        assert_eq!(env.wire_bytes(2), env.wire_bytes(256));
-        assert_eq!(env.wire_bytes(2), (ENV_HEADER_BYTES + CTRL_FIXED_BYTES) as u64);
+        assert_eq!(encode_envelope(&env, 2).len(), encode_envelope(&env, 256).len());
+        assert_eq!(env.wire_bytes(), (ENV_HEADER_BYTES + CTRL_FIXED_BYTES) as u64);
     }
 
     #[test]
@@ -336,7 +335,7 @@ mod tests {
                 payload: AppPayload { id: 1234, len: 100 },
             }
         };
-        assert!(e256.wire_bytes(256) > e4.wire_bytes(4));
+        assert!(e256.wire_bytes() > e4.wire_bytes());
     }
 
     #[test]
@@ -371,7 +370,7 @@ mod tests {
     fn clocked_app_round_trip() {
         let env = sample_clocked(5);
         let enc = encode_envelope(&env, 5);
-        assert_eq!(enc.len() as u64, env.wire_bytes(5));
+        assert_eq!(enc.len() as u64, env.wire_bytes());
         let (dec, n) = decode_envelope(enc).expect("clocked round-trip must decode");
         assert_eq!(dec, env);
         assert_eq!(n, 5);
@@ -383,7 +382,7 @@ mod tests {
         // are byte-for-byte what they were before clocks existed.
         let plain = sample_app(5);
         let clocked = sample_clocked(5);
-        assert_eq!(clocked.wire_bytes(5), plain.wire_bytes(5) + 4 + 2 * 12);
+        assert_eq!(clocked.wire_bytes(), plain.wire_bytes() + 4 + 2 * 12);
     }
 
     #[test]

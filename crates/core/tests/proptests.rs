@@ -4,8 +4,8 @@
 //! the protocol's own invariants at every step.
 
 use ocpt_core::{
-    decode_envelope, encode_envelope, AppPayload, Direction, Envelope, LogEntry, MessageLog,
-    OcptConfig, OcptProcess, Piggyback, Status, TentSet,
+    decode_envelope, encode_envelope, AppPayload, CheckpointProtocol, Direction, Envelope,
+    LogEntry, MessageLog, OcptConfig, OcptProcess, Piggyback, ProtoAction, Status, TentSet,
 };
 use ocpt_sim::{MsgId, ProcessId};
 use proptest::prelude::*;
@@ -121,7 +121,7 @@ proptest! {
             payload: AppPayload { id: payload_id, len: payload_len },
         };
         let enc = encode_envelope(&env, n);
-        prop_assert_eq!(enc.len() as u64, env.wire_bytes(n));
+        prop_assert_eq!(enc.len() as u64, env.wire_bytes());
         let (dec, dn) = decode_envelope(enc).expect("wire round-trip must decode");
         prop_assert_eq!(dec, env);
         prop_assert_eq!(dn, n);
@@ -288,8 +288,8 @@ proptest! {
             (0..n).map(|i| OcptProcess::new(ProcessId(i as u32), n, cfg)).collect();
         // In-flight messages: (src, dst, msg_id, payload, piggyback).
         let mut flight: Vec<(ProcessId, ProcessId, MsgId, AppPayload, Piggyback)> = Vec::new();
-        // Pending timers per process: the csn the timer guards.
-        let mut timers: Vec<Option<u64>> = vec![None; n];
+        // Armed timers per process, by tag.
+        let mut timers: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut next_msg = 0u64;
         let mut out = Vec::new();
 
@@ -297,17 +297,19 @@ proptest! {
         // either kind.
         let mut ctrl_flight: Vec<(ProcessId, ProcessId, ocpt_core::CtrlMsg)> = Vec::new();
 
-        let exec = |actions: Vec<ocpt_core::Action>,
+        let exec = |actions: Vec<ProtoAction<Envelope>>,
                         pid: usize,
                         ctrl_flight: &mut Vec<(ProcessId, ProcessId, ocpt_core::CtrlMsg)>,
-                        timers: &mut Vec<Option<u64>>| {
+                        timers: &mut Vec<Vec<u64>>| {
             for a in actions {
                 match a {
-                    ocpt_core::Action::SendCtrl { dst, cm } => {
+                    ProtoAction::Send { dst, env: Envelope::Ctrl(cm) } => {
                         ctrl_flight.push((ProcessId(pid as u32), dst, cm));
                     }
-                    ocpt_core::Action::SetTimer { csn } => timers[pid] = Some(csn),
-                    ocpt_core::Action::CancelTimer => timers[pid] = None,
+                    ProtoAction::SetTimer { tag, .. } if !timers[pid].contains(&tag) => {
+                        timers[pid].push(tag);
+                    }
+                    ProtoAction::CancelTimer { tag } => timers[pid].retain(|&t| t != tag),
                     _ => {}
                 }
             }
@@ -353,8 +355,8 @@ proptest! {
                 }
                 Op::FireTimer(p) => {
                     let pid = (*p as usize) % n;
-                    if let Some(csn) = timers[pid].take() {
-                        procs[pid].on_timer(csn, &mut out);
+                    if let Some(tag) = timers[pid].pop() {
+                        procs[pid].on_timer(tag, &mut out);
                         let actions: Vec<_> = std::mem::take(&mut out);
                         exec(actions, pid, &mut ctrl_flight, &mut timers);
                     }
@@ -378,9 +380,9 @@ proptest! {
                 prop_assert!(r.is_ok());
                 let actions: Vec<_> = std::mem::take(&mut out);
                 exec(actions, dst.index(), &mut ctrl_flight, &mut timers);
-            } else if let Some(pid) = (0..n).find(|&i| timers[i].is_some()) {
-                let csn = timers[pid].take().expect("timer armed before firing");
-                procs[pid].on_timer(csn, &mut out);
+            } else if let Some(pid) = (0..n).find(|&i| !timers[i].is_empty()) {
+                let tag = timers[pid].pop().expect("timer armed before firing");
+                procs[pid].on_timer(tag, &mut out);
                 let actions: Vec<_> = std::mem::take(&mut out);
                 exec(actions, pid, &mut ctrl_flight, &mut timers);
             } else {

@@ -4,8 +4,8 @@
 //! a [`Runner`] per variant so each protocol runs with zero dynamic
 //! dispatch in the hot loop.
 
-use ocpt_baselines::{ChandyLamport, Cic, KooToueg, OcptAdapter, Staggered, Uncoordinated};
-use ocpt_core::{LoggingKind, OcptConfig, WritePolicy};
+use ocpt_baselines::{ChandyLamport, Cic, KooToueg, Staggered, Uncoordinated};
+use ocpt_core::{LoggingKind, OcptConfig, OcptProcess, WritePolicy};
 use ocpt_sim::ProcessId;
 
 use crate::runner::{RunConfig, RunResult, Runner};
@@ -88,8 +88,7 @@ pub fn run(algo: &Algo, cfg: RunConfig) -> RunResult {
     let state_bytes = cfg.state_bytes;
     match algo {
         Algo::Ocpt(ocfg) => {
-            let mut ocfg =
-                OcptConfig { state_bytes, checkpoint_interval: cfg.checkpoint_interval, ..*ocfg };
+            let mut ocfg = OcptConfig { state_bytes, ..*ocfg };
             // Size the deferred-write spread for this run: wide enough that
             // consecutive offsets exceed one write's service time (or the
             // cascade re-creates the contention it exists to avoid), but
@@ -110,15 +109,9 @@ pub fn run(algo: &Algo, cfg: RunConfig) -> RunResult {
                 w => w,
             };
             let mut result =
-                Runner::new(cfg, move |pid, n, seed| OcptAdapter::new(pid, n, ocfg, seed)).run();
+                Runner::new(cfg, move |pid, n, seed| OcptProcess::seeded(pid, n, ocfg, seed)).run();
             // Distinguish the variants in reports.
-            if !ocfg.control_messages {
-                result.algo = "ocpt-basic";
-            } else if !ocfg.optimize_ck_bgn {
-                result.algo = "ocpt-naive";
-            } else if ocfg.logging != LoggingKind::Selective {
-                result.algo = Algo::Ocpt(ocfg).name();
-            }
+            result.algo = Algo::Ocpt(ocfg).name();
             result
         }
         Algo::ChandyLamport => {

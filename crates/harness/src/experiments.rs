@@ -214,8 +214,7 @@ pub fn e4_convergence(gaps: &[SimDuration], timeouts: &[SimDuration], base: ExpP
     );
     for &gap in gaps {
         for &to in timeouts {
-            let mut ocfg = ocpt_core::OcptConfig { convergence_timeout: to, ..Default::default() };
-            ocfg.checkpoint_interval = base.ckpt_interval;
+            let ocfg = ocpt_core::OcptConfig { convergence_timeout: to, ..Default::default() };
             let p = ExpParams { msg_gap: gap, ..base };
             g.cell(&[ms_label(gap), ms_label(to)], Algo::Ocpt(ocfg), p.config(), |r| {
                 let rounds = r.complete_rounds.max(1) as f64;

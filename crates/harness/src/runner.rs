@@ -9,9 +9,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ocpt_baselines::api::{wire_cost, CheckpointProtocol, ProtoAction};
 use ocpt_causality::GlobalObserver;
-use ocpt_core::AppSnapshot;
+use ocpt_core::{wire_cost, AppSnapshot, CheckpointProtocol, EnvTelemetry, ProtoAction};
 use ocpt_metrics::{Counters, Summary};
 use ocpt_sim::{
     Event, FaultPlan, MsgId, Network, ProcessId, Scheduler, SchedulerKind, SimConfig, SimDuration,
@@ -768,7 +767,7 @@ impl<P: CheckpointProtocol> Runner<P> {
         let tel = if self.trace.is_enabled() {
             self.procs[dst.index()].env_telemetry(&env)
         } else {
-            ocpt_baselines::api::EnvTelemetry::default()
+            EnvTelemetry::default()
         };
         let mut out = std::mem::take(&mut self.scratch);
         let res = self.procs[dst.index()].on_arrival(src, msg_id, env, &mut out);
@@ -1156,9 +1155,20 @@ impl<P: CheckpointProtocol> Runner<P> {
     /// contending for bandwidth with the re-executed future. Their
     /// completions have no one to notify and are only counted
     /// (`storage.orphan_completions`).
+    ///
+    /// Every completion is recorded at its own instant before any of them
+    /// is handed back: a hand-back may start the client's queued write at
+    /// `now`, later than the next completion's instant.
     fn hand_back_completions(&mut self, now: SimTime) {
         self.server.advance(now);
         let completions = self.server.take_completed();
+        for c in &completions {
+            if let Some(w) = self.pending_writes.get(&c.req) {
+                self.trace.record_seq_with(c.at, w.pid, TraceKind::StorageDone, w.seq, || {
+                    format!("{:?} {}B", w.kind, w.bytes)
+                });
+            }
+        }
         for c in completions {
             let Some(w) = self.pending_writes.remove(&c.req) else {
                 self.counters.inc("storage.orphan_completions");
@@ -1169,9 +1179,6 @@ impl<P: CheckpointProtocol> Runner<P> {
                 WriteKind::Extra => w.bytes,
             };
             self.unstage(released);
-            self.trace.record_seq_with(c.at, w.pid, TraceKind::StorageDone, w.seq, || {
-                format!("{:?} {}B", w.kind, w.bytes)
-            });
             let notify = {
                 let p = self.progress.entry((w.pid.0, w.seq)).or_default();
                 match w.kind {

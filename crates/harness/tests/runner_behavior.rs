@@ -238,3 +238,23 @@ fn storage_wakeup_survives_a_p0_crash() {
     }
     assert!(survivors_done_after_crash >= 3, "the crash must land mid-round");
 }
+
+/// With unstaggered ticks and eager flushes every process starts an
+/// equal state write at the same instant, so the processor-sharing server
+/// completes them together, and a completion's hand-back starts that
+/// process's queued log write at the wakeup. The trace must still read in
+/// time order: a wakeup records all its completions first.
+#[test]
+fn tied_completions_keep_the_trace_in_time_order() {
+    let mut cfg = base(4, 9);
+    cfg.stagger_initiation = false;
+    cfg.trace = true;
+    let ocfg = ocpt_core::OcptConfig {
+        flush_policy: ocpt_core::FlushPolicy::Eager,
+        finalize_write: ocpt_core::WritePolicy::Immediate,
+        ..Default::default()
+    };
+    let r = run_checked(&Algo::Ocpt(ocfg), cfg);
+    assert!(r.counters.get("storage.writes_queued") > 0, "log writes queue behind state");
+    ocpt_telemetry::parse_jsonl(&r.trace_jsonl()).expect("trace reads in time order");
+}

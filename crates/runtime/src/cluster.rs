@@ -144,3 +144,37 @@ impl Cluster {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ocpt_core::{FlushPolicy, WritePolicy};
+    use ocpt_sim::SimDuration;
+
+    /// The nodes run the processes' own storage policies: a round with
+    /// jittered early flushes and phased finalize writes completes, and
+    /// each checkpoint is in the store, decodable, when it is reported.
+    #[test]
+    fn round_under_jittered_flush_and_phased_writes() {
+        let cfg = OcptConfig {
+            convergence_timeout: SimDuration::from_millis(40),
+            flush_policy: FlushPolicy::Jittered { max_delay: SimDuration::from_millis(20) },
+            finalize_write: WritePolicy::Phased { window: SimDuration::from_millis(60) },
+            state_bytes: 16 * 1024,
+            ..OcptConfig::default()
+        };
+        let cluster = Cluster::start(4, cfg);
+        for i in 0..4u32 {
+            cluster.send_app(ProcessId(i), ProcessId((i + 1) % 4), 64);
+        }
+        cluster.checkpoint(ProcessId(0));
+        cluster.wait_for_round(1, Duration::from_secs(10)).expect("round 1");
+        assert_eq!(cluster.store().recovery_line(4), 1);
+        for i in 0..4u32 {
+            let d = cluster.store().get(ProcessId(i), 1).expect("durable");
+            ocpt_core::plan_recovery(1, d.state, d.log).expect("blobs decode and replay");
+        }
+        assert!(cluster.observer().lock().judge(1).expect("complete").is_consistent());
+        cluster.shutdown();
+    }
+}

@@ -3,15 +3,19 @@
 //!
 //! Everything that was virtual in the simulator is real here: envelopes
 //! are encoded with `ocpt_core::wire` and decoded on receipt, the
-//! convergence timer is `recv_timeout` against `Instant`s, and the shared
-//! consistency observer is fed in true arrival order — so the test-suite's
-//! Theorem 2 check runs against genuine thread interleavings.
+//! protocol's timers (convergence, jittered flush, deferred write) are
+//! `recv_timeout` against `Instant`s, and the shared consistency observer
+//! is fed in true arrival order — so the test-suite's Theorem 2 check runs
+//! against genuine thread interleavings. The node executes the same
+//! [`ProtoAction`]s as the simulator's runner, so the flush and write
+//! policies hold here too.
 //!
 //! Each node has a **single** `std::sync::mpsc` inbox carrying both peer
 //! network bytes and driver commands ([`NodeInput`]); merging the streams
 //! into one channel preserves arrival order without needing a
 //! multi-channel `select!`.
 
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,8 +23,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use ocpt_causality::GlobalObserver;
 use ocpt_core::{
-    decode_envelope, encode_envelope, Action, AppPayload, AppSnapshot, Csn, Envelope, OcptConfig,
-    OcptProcess,
+    decode_envelope, encode_envelope, AppPayload, AppSnapshot, CheckpointProtocol, Csn, Envelope,
+    OcptConfig, OcptProcess, ProtoAction,
 };
 use ocpt_sim::{MsgId, ProcessId};
 
@@ -55,7 +59,7 @@ pub enum NodeInput {
 /// Node → driver status events.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StatusEvent {
-    /// The node finalized checkpoint `csn`.
+    /// The node's checkpoint `csn` is finalized and in the stable store.
     Finalized {
         /// Reporting node.
         pid: ProcessId,
@@ -100,133 +104,124 @@ pub struct NodeCtx {
     pub observer: Arc<Mutex<GlobalObserver>>,
 }
 
+/// A node's protocol instance, application state and what its actions
+/// left pending.
+struct Node {
+    ctx: NodeCtx,
+    proto: OcptProcess,
+    app: AppSnapshot,
+    /// Armed protocol timers: wall-clock deadline by tag.
+    timers: BTreeMap<u64, Instant>,
+    /// Snapshots taken but not yet in the store, by csn.
+    snapshots: BTreeMap<Csn, AppSnapshot>,
+    finalized: u64,
+}
+
+impl Node {
+    /// Carry out (and drain) the protocol's actions.
+    fn carry_out(&mut self, out: &mut Vec<ProtoAction<Envelope>>) {
+        let pid = self.ctx.pid;
+        for a in out.drain(..) {
+            match a {
+                ProtoAction::Snapshot { seq } => {
+                    self.snapshots.insert(seq, self.app);
+                }
+                ProtoAction::MarkCut { seq, back } => {
+                    let mut obs = self.ctx.observer.lock();
+                    let pos = obs.positions()[pid.index()] - back as u64;
+                    obs.on_finalize(pid, seq, pos, ocpt_sim::SimTime::ZERO);
+                }
+                ProtoAction::FlushExtra { seq, log, .. } => {
+                    // The store takes a checkpoint whole: the state goes in
+                    // with the log, however early the policy flushed it.
+                    let snap = self.snapshots.remove(&seq).expect("FlushExtra before Snapshot");
+                    let log = log.map(|l| l.encode()).unwrap_or_default();
+                    self.ctx.store.put(pid, seq, snap.encode(), log);
+                    self.finalized += 1;
+                    let _ = self.ctx.status.send(StatusEvent::Finalized { pid, csn: seq });
+                }
+                ProtoAction::FlushState { .. }
+                | ProtoAction::Complete { .. }
+                | ProtoAction::ForcedBeforeProcessing { .. } => {}
+                ProtoAction::Send { dst, env } => {
+                    let raw = encode_envelope(&env, self.ctx.n);
+                    let _ = self.ctx.peers[dst.index()].send(NodeInput::Net(pid, raw));
+                }
+                ProtoAction::SetTimer { tag, delay } => {
+                    self.timers.insert(tag, Instant::now() + to_std(delay));
+                }
+                ProtoAction::CancelTimer { tag } => {
+                    self.timers.remove(&tag);
+                }
+            }
+        }
+    }
+
+    /// The armed timer that expires first.
+    fn next_timer(&self) -> Option<(u64, Instant)> {
+        self.timers.iter().map(|(&tag, &at)| (tag, at)).min_by_key(|&(_, at)| at)
+    }
+
+    /// Hand one decoded envelope to the protocol.
+    fn receive(
+        &mut self,
+        src: ProcessId,
+        env: Envelope,
+        out: &mut Vec<ProtoAction<Envelope>>,
+    ) -> Result<(), String> {
+        match env {
+            Envelope::Ctrl(cm) => self.proto.on_ctrl_receive(src, cm, out),
+            Envelope::App { pb, payload } => {
+                // Process first (paper §3.4.3), then the case analysis.
+                let msg_id = MsgId(payload.id);
+                self.ctx.observer.lock().on_recv(self.ctx.pid, msg_id);
+                self.app.apply_recv(payload);
+                self.proto.on_app_receive(src, msg_id, payload, &pb, out)
+            }
+        }
+        .map_err(|e| e.to_string())
+    }
+}
+
 /// The node main loop. Runs until `Command::Shutdown`.
 pub fn run_node(ctx: NodeCtx) {
-    let NodeCtx { pid, n, cfg, inbox, peers, status, store, observer } = ctx;
-    let mut proto = OcptProcess::new(pid, n, cfg);
-    let mut app = AppSnapshot::initial(pid.0 as u64, cfg.state_bytes);
-    let mut next_msg: u64 = 0;
-    let mut conv_deadline: Option<(Instant, Csn)> = None;
-    let mut pending_snapshot: Option<AppSnapshot> = None;
-    let mut finalized: u64 = 0;
-
-    // Executes protocol actions; returns false on fatal error.
-    let handle_actions = |proto: &OcptProcess,
-                          actions: Vec<Action>,
-                          app: &AppSnapshot,
-                          pending_snapshot: &mut Option<AppSnapshot>,
-                          conv_deadline: &mut Option<(Instant, Csn)>,
-                          finalized: &mut u64,
-                          trigger_back: &mut u32| {
-        for a in actions {
-            match a {
-                Action::TakeTentative { .. } => {
-                    *pending_snapshot = Some(*app);
-                }
-                Action::Finalize { csn, log, excluded } => {
-                    let snap = pending_snapshot.take().unwrap_or(*app);
-                    store.put(pid, csn, snap.encode(), log.encode());
-                    *finalized += 1;
-                    *trigger_back = u32::from(excluded.is_some());
-                    {
-                        let mut obs = observer.lock();
-                        let pos = obs.positions()[pid.index()] - *trigger_back as u64;
-                        obs.on_finalize(pid, csn, pos, ocpt_sim::SimTime::ZERO);
-                    }
-                    let _ = status.send(StatusEvent::Finalized { pid, csn });
-                }
-                Action::SendCtrl { dst, cm } => {
-                    let raw = encode_envelope(&Envelope::Ctrl(cm), n);
-                    let _ = peers[dst.index()].send(NodeInput::Net(pid, raw));
-                }
-                Action::SetTimer { csn } => {
-                    *conv_deadline =
-                        Some((Instant::now() + to_std(proto.config().convergence_timeout), csn));
-                }
-                Action::CancelTimer => {
-                    *conv_deadline = None;
-                }
-            }
-        }
+    let (pid, cfg) = (ctx.pid, ctx.cfg);
+    let mut node = Node {
+        proto: OcptProcess::new(pid, ctx.n, cfg),
+        app: AppSnapshot::initial(pid.0 as u64, cfg.state_bytes),
+        timers: BTreeMap::new(),
+        snapshots: BTreeMap::new(),
+        finalized: 0,
+        ctx,
     };
-
-    let mut trigger_back = 0u32;
+    let mut out = Vec::new();
+    let mut next_msg: u64 = 0;
     'main: loop {
-        // Fire the convergence timer whenever its deadline has passed —
-        // checked both on timeout wakeups and between messages, so heavy
-        // traffic cannot starve it.
-        if let Some((at, csn)) = conv_deadline {
-            if Instant::now() >= at {
-                conv_deadline = None;
-                let mut out = Vec::new();
-                proto.on_timer(csn, &mut out);
-                handle_actions(
-                    &proto,
-                    out,
-                    &app,
-                    &mut pending_snapshot,
-                    &mut conv_deadline,
-                    &mut finalized,
-                    &mut trigger_back,
-                );
+        // Fire every timer whose deadline has passed — checked both on
+        // timeout wakeups and between messages, so heavy traffic cannot
+        // starve them.
+        while let Some((tag, at)) = node.next_timer() {
+            if Instant::now() < at {
+                break;
             }
+            node.timers.remove(&tag);
+            node.proto.on_timer(tag, &mut out);
+            node.carry_out(&mut out);
         }
-        let timeout = conv_deadline
-            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
+        let timeout = node
+            .next_timer()
+            .map(|(_, at)| at.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(50));
-        let input = match inbox.recv_timeout(timeout) {
+        let input = match node.ctx.inbox.recv_timeout(timeout) {
             Ok(input) => input,
             Err(RecvTimeoutError::Timeout) => continue 'main,
             Err(RecvTimeoutError::Disconnected) => break 'main,
         };
-        match input {
-            NodeInput::Net(src, raw) => {
-                let (env, _) = match decode_envelope(raw) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        let _ = status.send(StatusEvent::Error { pid, detail: e.to_string() });
-                        break 'main;
-                    }
-                };
-                match env {
-                    Envelope::Ctrl(cm) => {
-                        let mut out = Vec::new();
-                        if let Err(e) = proto.on_ctrl_receive(src, cm, &mut out) {
-                            let _ = status.send(StatusEvent::Error { pid, detail: e.to_string() });
-                            break 'main;
-                        }
-                        handle_actions(
-                            &proto,
-                            out,
-                            &app,
-                            &mut pending_snapshot,
-                            &mut conv_deadline,
-                            &mut finalized,
-                            &mut trigger_back,
-                        );
-                    }
-                    Envelope::App { pb, payload } => {
-                        // Process first (paper §3.4.3), then the case analysis.
-                        let msg_id = MsgId(payload.id);
-                        observer.lock().on_recv(pid, msg_id);
-                        app.apply_recv(payload);
-                        let mut out = Vec::new();
-                        if let Err(e) = proto.on_app_receive(src, msg_id, payload, &pb, &mut out) {
-                            let _ = status.send(StatusEvent::Error { pid, detail: e.to_string() });
-                            break 'main;
-                        }
-                        handle_actions(
-                            &proto,
-                            out,
-                            &app,
-                            &mut pending_snapshot,
-                            &mut conv_deadline,
-                            &mut finalized,
-                            &mut trigger_back,
-                        );
-                    }
-                }
-            }
+        let handled = match input {
+            NodeInput::Net(src, raw) => match decode_envelope(raw) {
+                Ok((env, _)) => node.receive(src, env, &mut out),
+                Err(e) => Err(e.to_string()),
+            },
             NodeInput::Cmd(Command::SendApp { dst, len }) => {
                 // Globally unique message id: node id in the high bits.
                 // These do not ascend across nodes, so the observer inserts
@@ -238,29 +233,26 @@ pub fn run_node(ctx: NodeCtx) {
                 let payload = AppPayload { id: msg_id.0, len };
                 // Record the send before the bytes can possibly be
                 // received (observer lock orders it).
-                observer.lock().on_send(pid, msg_id);
-                app.apply_send(payload);
-                let pb = proto.on_app_send(dst, msg_id, payload);
-                let raw = encode_envelope(&Envelope::App { pb, payload }, n);
-                let _ = peers[dst.index()].send(NodeInput::Net(pid, raw));
+                node.ctx.observer.lock().on_send(pid, msg_id);
+                node.app.apply_send(payload);
+                let env = node.proto.wrap_app(dst, msg_id, payload, &mut out);
+                out.push(ProtoAction::Send { dst, env });
+                Ok(())
             }
             NodeInput::Cmd(Command::Checkpoint) => {
-                let mut out = Vec::new();
-                proto.initiate_checkpoint(&mut out);
-                handle_actions(
-                    &proto,
-                    out,
-                    &app,
-                    &mut pending_snapshot,
-                    &mut conv_deadline,
-                    &mut finalized,
-                    &mut trigger_back,
-                );
+                node.proto.initiate_checkpoint(&mut out);
+                Ok(())
             }
             NodeInput::Cmd(Command::Shutdown) => break 'main,
+        };
+        if let Err(detail) = handled {
+            let _ = node.ctx.status.send(StatusEvent::Error { pid, detail });
+            break 'main;
         }
+        node.carry_out(&mut out);
     }
-    let _ = status.send(StatusEvent::Stopped { pid, csn: proto.csn(), finalized });
+    let stopped = StatusEvent::Stopped { pid, csn: node.proto.csn(), finalized: node.finalized };
+    let _ = node.ctx.status.send(stopped);
 }
 
 fn to_std(d: ocpt_sim::SimDuration) -> Duration {

@@ -55,7 +55,8 @@ fn figure1() {
 fn figure2() {
     println!("=== Figure 2: basic algorithm walkthrough (4 processes) ===\n");
     let n = 4;
-    let cfg = OcptConfig::basic_only();
+    // Writing at the decision puts each finalized log in the same batch.
+    let cfg = OcptConfig { finalize_write: WritePolicy::Immediate, ..OcptConfig::basic_only() };
     let mut procs: Vec<OcptProcess> = (0..4).map(|i| OcptProcess::new(p(i), n, cfg)).collect();
     let mut out = Vec::new();
     let pl = AppPayload { id: 0, len: 256 };
@@ -68,7 +69,7 @@ fn figure2() {
     out.clear();
 
     let relay =
-        |from: usize, to: usize, msg: u64, procs: &mut Vec<OcptProcess>, out: &mut Vec<Action>| {
+        |from: usize, to: usize, msg: u64, procs: &mut Vec<OcptProcess>, out: &mut Vec<_>| {
             let pb = procs[from].on_app_send(p(to as u32), MsgId(msg), pl);
             procs[to].on_app_receive(p(from as u32), MsgId(msg), pl, &pb, out).unwrap();
         };
@@ -100,11 +101,13 @@ fn figure2() {
     narrate("M6: P2→P3 sent (in flight; channels need not be FIFO)");
 
     relay(3, 2, 5, &mut procs, &mut out);
-    let fin = out.iter().find_map(|a| match a {
-        Action::Finalize { csn, log, .. } => Some((csn, log.clone())),
-        _ => None,
-    });
-    let (_, log) = fin.expect("P2 finalizes");
+    let log = out
+        .iter()
+        .find_map(|a| match a {
+            ProtoAction::FlushExtra { log: Some(log), .. } => Some(log.clone()),
+            _ => None,
+        })
+        .expect("P2 finalizes");
     narrate(&format!(
         "M5: P3→P2; P2 learns allPSet and FINALIZES C(2,1) with log {{{}}} — the paper's {{M5, M6}}",
         log.entries().iter().map(|e| format!("M{}", e.msg_id.0)).collect::<Vec<_>>().join(", ")

@@ -51,10 +51,9 @@ pub use ocpt_telemetry as telemetry;
 
 /// The names almost every user of the library wants in scope.
 pub mod prelude {
-    pub use ocpt_baselines::{CheckpointProtocol, ProtoAction};
     pub use ocpt_core::{
-        Action, AppPayload, ControlTopology, Csn, Envelope, FlushPolicy, LoggingKind, MessageLog,
-        OcptConfig, OcptProcess, Piggyback, Status, TentSet, WritePolicy,
+        AppPayload, CheckpointProtocol, ControlTopology, Csn, Envelope, FlushPolicy, LoggingKind,
+        MessageLog, OcptConfig, OcptProcess, Piggyback, ProtoAction, Status, TentSet, WritePolicy,
     };
     pub use ocpt_harness::{
         run, run_checked, Algo, ColFmt, GridOptions, GridOutcome, RunConfig, RunGrid, RunResult,
