@@ -450,6 +450,33 @@ mod tests {
         assert_eq!(enc.len() as u64, l.encoded_len());
         let dec = MessageLog::decode(enc).expect("log round-trip must decode");
         assert_eq!(dec, l);
+
+        // Every direction × kind pair survives the codec, in both layouts.
+        let mut all = MessageLog::new();
+        for (i, dir) in [Direction::Sent, Direction::Received].into_iter().enumerate() {
+            for (j, kind) in [EntryKind::Payload, EntryKind::Determinant].into_iter().enumerate() {
+                // Exhaustive: a new variant fails to compile here until it
+                // joins the lists above and so the round trip.
+                match (dir, kind) {
+                    (Direction::Sent | Direction::Received, EntryKind::Payload) => {}
+                    (Direction::Sent | Direction::Received, EntryKind::Determinant) => {}
+                }
+                let (peer, msg) = (i as u32 + 1, 10 + 2 * i as u64 + j as u64);
+                let e = match kind {
+                    EntryKind::Payload => entry(dir, peer, msg, 7),
+                    EntryKind::Determinant => det(dir, peer, msg, 7),
+                };
+                let mut one = MessageLog::new();
+                one.push(e);
+                all.push(e);
+                assert_eq!(
+                    MessageLog::decode(one.encode()).as_ref(),
+                    Some(&one),
+                    "{dir:?} {kind:?}"
+                );
+            }
+        }
+        assert_eq!(MessageLog::decode(all.encode()), Some(all));
     }
 
     #[test]

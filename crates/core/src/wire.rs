@@ -310,6 +310,11 @@ mod tests {
     #[test]
     fn ctrl_round_trip() {
         for kind in [CtrlKind::CkBgn, CtrlKind::CkReq, CtrlKind::CkEnd, CtrlKind::CkGrpDone] {
+            // Exhaustive: a new kind fails to compile here until it joins
+            // the list above and so the round trip.
+            match kind {
+                CtrlKind::CkBgn | CtrlKind::CkReq | CtrlKind::CkEnd | CtrlKind::CkGrpDone => {}
+            }
             let env = Envelope::Ctrl(CtrlMsg { kind, csn: 3 });
             let enc = encode_envelope(&env, 8);
             assert_eq!(enc.len() as u64, env.wire_bytes());

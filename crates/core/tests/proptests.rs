@@ -4,8 +4,9 @@
 //! the protocol's own invariants at every step.
 
 use ocpt_core::{
-    decode_envelope, encode_envelope, AppPayload, CheckpointProtocol, Direction, Envelope,
-    LogEntry, MessageLog, OcptConfig, OcptProcess, Piggyback, ProtoAction, Status, TentSet,
+    decode_envelope, encode_envelope, AppPayload, CheckpointProtocol, CtrlKind, CtrlMsg, Direction,
+    Envelope, LogEntry, MessageLog, OcptConfig, OcptProcess, Piggyback, ProtoAction, Status,
+    TentSet,
 };
 use ocpt_sim::{MsgId, ProcessId};
 use proptest::prelude::*;
@@ -112,19 +113,27 @@ proptest! {
                 ts.insert(ProcessId(m));
             }
         }
-        let env = Envelope::App {
-            pb: Piggyback::new(
-                csn,
-                if tentative { Status::Tentative } else { Status::Normal },
-                ts,
-            ),
+        let status = if tentative { Status::Tentative } else { Status::Normal };
+        let app = Envelope::App {
+            pb: Piggyback::new(csn, status, ts),
             payload: AppPayload { id: payload_id, len: payload_len },
         };
-        let enc = encode_envelope(&env, n);
-        prop_assert_eq!(enc.len() as u64, env.wire_bytes());
-        let (dec, dn) = decode_envelope(enc).expect("wire round-trip must decode");
-        prop_assert_eq!(dec, env);
-        prop_assert_eq!(dn, n);
+        let ctrl = Envelope::Ctrl(CtrlMsg { kind: CtrlKind::CkReq, csn });
+        for env in [app, ctrl] {
+            // Exhaustive over both enums the envelope codec carries: a new
+            // variant fails to compile here until this round trip covers it.
+            match &env {
+                Envelope::App { pb, .. } => match pb.stat {
+                    Status::Normal | Status::Tentative => {}
+                },
+                Envelope::Ctrl(_) => {}
+            }
+            let enc = encode_envelope(&env, n);
+            prop_assert_eq!(enc.len() as u64, env.wire_bytes());
+            let (dec, dn) = decode_envelope(enc).expect("wire round-trip must decode");
+            prop_assert_eq!(dec, env);
+            prop_assert_eq!(dn, n);
+        }
     }
 
     #[test]

@@ -103,6 +103,7 @@ impl SimRng {
         }
         // Inverse-CDF sampling; clamp u away from 0 to avoid ln(0).
         let u = self.next_f64().max(1e-12);
+        // simlint: allow(libm, "pins Poisson workloads to this host's libm; ROADMAP item 4(c) replaces it with an exact sampler")
         mean.mul_f64(-u.ln())
     }
 

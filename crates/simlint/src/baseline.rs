@@ -1,19 +1,11 @@
 //! The committed baseline: the ratcheting `.unwrap()` budget (rule
-//! `unwrap-budget`) plus, since v2, *accepted* workspace findings.
+//! `unwrap-budget`).
 //!
 //! `simlint.baseline` at the workspace root records, per crate, the count
 //! of `.unwrap()` call sites. A crate rising above its recorded budget is
 //! a finding; a crate falling below it is *also* a finding (a stale,
 //! too-generous budget), fixed by regenerating with `--write-baseline`.
 //! The budget can therefore only ever ratchet down.
-//!
-//! v2 adds `accept` entries so the workspace-graph rules (transitive
-//! D1–D3 chains, D6 lock-order, D7 protocol-exhaustiveness) can be
-//! adopted on a tree with known legacy findings: an accepted finding is
-//! suppressed, and an accept that no longer matches anything is a stale
-//! finding — the same ratchet discipline as the unwrap budget. v1 files
-//! (bare `<crate> <count>` lines, no `version` line) still parse, with a
-//! migration finding prompting a one-time regenerate.
 
 use std::collections::BTreeMap;
 
@@ -22,128 +14,38 @@ use crate::report::Finding;
 /// The committed baseline file name, relative to the workspace root.
 pub const BASELINE_FILE: &str = "simlint.baseline";
 
-/// The version emitted by [`format()`].
-pub const CURRENT_VERSION: u32 = 2;
-
-/// One accepted workspace finding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Accept {
-    /// Rule id (`lock-order`, `wall-clock`, …).
-    pub rule: String,
-    /// Root-relative file the finding is reported in.
-    pub file: String,
-    /// Fingerprint from [`fingerprint`].
-    pub fp: String,
-    /// 1-based baseline line, for diagnostics.
-    pub line: u32,
-}
-
-/// A parsed baseline file.
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    /// 1 for legacy bare-format files, 2 for the current format.
-    pub version: u32,
-    /// crate → (budget, 1-based line).
-    pub unwraps: BTreeMap<String, (usize, u32)>,
-    /// Accepted workspace findings (v2 only).
-    pub accepts: Vec<Accept>,
-}
-
-/// FNV-1a (64-bit) over `rule | file | extra`, rendered as 16 hex
-/// digits. `extra` is the chain's function names (or the message for
-/// chain-less workspace findings) so the fingerprint survives line-number
-/// drift but not a change in what the finding actually says.
-pub fn fingerprint(rule: &str, file: &str, extra: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in [rule, "|", file, "|", extra] {
-        for b in part.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
-/// Parse a baseline file of either version. `#` lines and blanks are
-/// comments. v2 lines are `version 2`, `unwrap <crate> <count>` and
-/// `accept <rule> <file> <fp>`; a file with no `version` line is v1 and
-/// its lines are bare `<crate> <count>` pairs.
-pub fn parse(text: &str) -> Baseline {
-    let mut base = Baseline { version: 1, ..Baseline::default() };
-    let is_v2 = text.lines().any(|l| {
-        let mut p = l.trim().split_whitespace();
-        p.next() == Some("version")
-    });
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let lineno = idx as u32 + 1;
+/// Parse a baseline into crate → (budget, 1-based line). `#` lines and
+/// blanks are comments; the `version` line is informational; budget
+/// lines are `unwrap <crate> <count>`.
+fn parse(text: &str) -> BTreeMap<String, (usize, u32)> {
+    let mut budgets = BTreeMap::new();
+    for (idx, line) in text.lines().enumerate() {
         let mut parts = line.split_whitespace();
-        if is_v2 {
-            match parts.next() {
-                Some("version") => {
-                    if let Some(v) = parts.next().and_then(|v| v.parse::<u32>().ok()) {
-                        base.version = v;
-                    }
-                }
-                Some("unwrap") => {
-                    if let (Some(name), Some(Ok(n))) =
-                        (parts.next(), parts.next().map(|c| c.parse::<usize>()))
-                    {
-                        base.unwraps.insert(name.to_string(), (n, lineno));
-                    }
-                }
-                Some("accept") => {
-                    if let (Some(rule), Some(file), Some(fp)) =
-                        (parts.next(), parts.next(), parts.next())
-                    {
-                        base.accepts.push(Accept {
-                            rule: rule.to_string(),
-                            file: file.to_string(),
-                            fp: fp.to_string(),
-                            line: lineno,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        } else {
-            let (Some(name), Some(count)) = (parts.next(), parts.next()) else { continue };
-            if let Ok(n) = count.parse::<usize>() {
-                base.unwraps.insert(name.to_string(), (n, lineno));
-            }
+        if let (Some("unwrap"), Some(name), Some(Ok(n))) =
+            (parts.next(), parts.next(), parts.next().map(str::parse::<usize>))
+        {
+            budgets.insert(name.to_string(), (n, idx as u32 + 1));
         }
     }
-    base
+    budgets
 }
 
-/// Render a v2 baseline from live unwrap counts and accepted findings
-/// (`(rule, file, fp)` triples).
-pub fn format(counts: &BTreeMap<String, usize>, accepts: &[(String, String, String)]) -> String {
+/// Render a baseline from live unwrap counts.
+pub fn format(counts: &BTreeMap<String, usize>) -> String {
     let mut s = String::from(
-        "# simlint baseline: unwrap() budget per crate plus accepted workspace findings.\n\
+        "# simlint baseline: unwrap() budget per crate.\n\
          # `unwrap <crate> <n>` may only ratchet down: above budget fails the lint, below\n\
-         # budget is a stale-baseline finding. `accept <rule> <file> <fp>` suppresses one\n\
-         # known workspace-graph finding; stale accepts are findings too.\n\
+         # budget is a stale-baseline finding.\n\
          # Regenerate with `cargo run -p simlint -- --write-baseline`.\n\
          version 2\n",
     );
     for (k, v) in counts {
         s.push_str(&std::format!("unwrap {k} {v}\n"));
     }
-    let mut sorted: Vec<&(String, String, String)> = accepts.iter().collect();
-    sorted.sort();
-    sorted.dedup();
-    for (rule, file, fp) in sorted {
-        s.push_str(&std::format!("accept {rule} {file} {fp}\n"));
-    }
     s
 }
 
-/// Compare live unwrap counts against the committed budget; also emits
-/// the v1 migration finding.
+/// Compare live unwrap counts against the committed budget.
 pub fn compare(baseline: Option<&str>, counts: &BTreeMap<String, usize>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(text) = baseline else {
@@ -155,20 +57,9 @@ pub fn compare(baseline: Option<&str>, counts: &BTreeMap<String, usize>) -> Vec<
         ));
         return findings;
     };
-    let base = parse(text);
-    if base.version < CURRENT_VERSION {
-        findings.push(Finding::new(
-            BASELINE_FILE,
-            1,
-            "unwrap-budget",
-            format!(
-                "baseline is v{} format — regenerate with `--write-baseline` to migrate to v{}",
-                base.version, CURRENT_VERSION
-            ),
-        ));
-    }
+    let budgets = parse(text);
     for (name, &actual) in counts {
-        match base.unwraps.get(name) {
+        match budgets.get(name) {
             Some(&(allowed, line)) if actual > allowed => findings.push(Finding::new(
                 BASELINE_FILE,
                 line,
@@ -200,7 +91,7 @@ pub fn compare(baseline: Option<&str>, counts: &BTreeMap<String, usize>) -> Vec<
             None => {}
         }
     }
-    for (name, &(allowed, line)) in &base.unwraps {
+    for (name, &(allowed, line)) in &budgets {
         if !counts.contains_key(name) {
             findings.push(Finding::new(
                 BASELINE_FILE,
@@ -225,35 +116,15 @@ mod tests {
     }
 
     fn fmt(pairs: &[(&str, usize)]) -> String {
-        format(&counts(pairs), &[])
+        format(&counts(pairs))
     }
 
     #[test]
     fn round_trip_parse_format() {
-        let accepts = vec![(
-            "lock-order".to_string(),
-            "crates/runtime/src/node.rs".to_string(),
-            fingerprint("lock-order", "crates/runtime/src/node.rs", "cycle a->b->a"),
-        )];
-        let text = format(&counts(&[("core", 0), ("harness", 12)]), &accepts);
-        let parsed = parse(&text);
-        assert_eq!(parsed.version, 2);
-        assert_eq!(parsed.unwraps.get("core").map(|&(n, _)| n), Some(0));
-        assert_eq!(parsed.unwraps.get("harness").map(|&(n, _)| n), Some(12));
-        assert_eq!(parsed.accepts.len(), 1);
-        assert_eq!(parsed.accepts[0].rule, "lock-order");
-        assert_eq!(parsed.accepts[0].fp, accepts[0].2);
-    }
-
-    #[test]
-    fn v1_files_parse_with_migration_finding() {
-        let v1 = "# old format\ncore 3\nharness 12\n";
-        let parsed = parse(v1);
-        assert_eq!(parsed.version, 1);
-        assert_eq!(parsed.unwraps.get("core").map(|&(n, _)| n), Some(3));
-        let f = compare(Some(v1), &counts(&[("core", 3), ("harness", 12)]));
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("regenerate"), "{}", f[0].message);
+        let parsed = parse(&fmt(&[("core", 0), ("harness", 12)]));
+        assert_eq!(parsed.get("core").map(|&(n, _)| n), Some(0));
+        assert_eq!(parsed.get("harness").map(|&(n, _)| n), Some(12));
+        assert_eq!(parsed.len(), 2);
     }
 
     #[test]
@@ -282,26 +153,5 @@ mod tests {
     fn zero_count_crate_without_budget_line_is_fine() {
         let base = fmt(&[]);
         assert!(compare(Some(&base), &counts(&[("sim", 0)])).is_empty());
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_distinct() {
-        let a = fingerprint("wall-clock", "a.rs", "f>g>Instant");
-        assert_eq!(a, fingerprint("wall-clock", "a.rs", "f>g>Instant"));
-        assert_ne!(a, fingerprint("wall-clock", "a.rs", "f>h>Instant"));
-        assert_ne!(a, fingerprint("ambient-entropy", "a.rs", "f>g>Instant"));
-        assert_eq!(a.len(), 16);
-    }
-
-    #[test]
-    fn format_sorts_and_dedups_accepts() {
-        let accepts = vec![
-            ("b".to_string(), "f.rs".to_string(), "02".to_string()),
-            ("a".to_string(), "f.rs".to_string(), "01".to_string()),
-            ("a".to_string(), "f.rs".to_string(), "01".to_string()),
-        ];
-        let text = format(&counts(&[]), &accepts);
-        let accept_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("accept")).collect();
-        assert_eq!(accept_lines, vec!["accept a f.rs 01", "accept b f.rs 02"]);
     }
 }

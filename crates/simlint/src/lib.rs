@@ -1,56 +1,43 @@
-//! simlint — zero-dependency determinism & protocol-safety analyzer for
-//! the OCPT workspace.
+//! simlint — zero-dependency determinism analyzer for the OCPT workspace.
 //!
 //! The simulation's headline claim is bit-identical replay from (config,
 //! seed). That property is global: one `Instant::now()` or one
 //! `HashMap` iteration anywhere inside the simulation boundary silently
 //! breaks it. simlint tokenizes every `.rs` file with its own small
 //! lexer (so rule tokens inside strings, comments and test modules never
-//! fire), builds a workspace-wide symbol graph (functions, calls, enums,
-//! matches, consts) on top of the token streams, and enforces:
+//! fire) and enforces, per file:
 //!
 //! * **D1 `wall-clock`** — no `Instant`/`SystemTime`/`thread::sleep` in
-//!   deterministic crates, *transitively*: a det-tier function calling a
-//!   helper chain (in any crate) that reaches a wall-clock source is
-//!   reported at the boundary call with the full chain;
+//!   deterministic crates;
 //! * **D2 `unordered-iter`** — no iteration of `HashMap`/`HashSet`
-//!   bindings (point access by key is fine), including bindings that
-//!   arrive via function returns and struct fields across files;
+//!   bindings or fields (point access by key is fine);
 //! * **D3 `ambient-entropy`** — no `thread_rng`/`from_entropy`/
-//!   `RandomState`, transitive like D1;
+//!   `RandomState`;
+//! * **`libm`** — no transcendental float calls (`ln`, `exp`, `sin`, …),
+//!   whose results are the host libm's, not IEEE's;
 //! * **D4 `forbid-unsafe` / `anchor`** — every crate root keeps
 //!   `#![forbid(unsafe_code)]`, and the protocol anchors cited in
 //!   DESIGN.md §7 stay in sync with the source;
 //! * **D5 `unwrap-budget`** — the per-crate `.unwrap()` count may only
-//!   ratchet down (committed in `simlint.baseline`, v2 format);
-//! * **D6 `lock-order`** — lock acquisitions form a workspace graph:
-//!   cycles, double-acquires and guards held across `.send()`/`.join()`
-//!   are findings, on every tier;
-//! * **D7 `protocol-exhaustiveness`** — protocol enums must round-trip
-//!   through their codecs and be matched exhaustively (no silent `_`
-//!   arms) everywhere.
+//!   ratchet down (committed in `simlint.baseline`).
+//!
+//! One workspace rule makes the per-file D1–D3 checks transitively
+//! complete: **`tier-boundary`** — no deterministic crate may depend on
+//! an exempt one, so no deterministic call can reach unchecked code.
 //!
 //! Escape hatch: `simlint: allow(<rule>, "<why>")` in a line comment
 //! excuses that line and the next; empty justifications and unused
-//! allows are findings themselves. Workspace-graph findings (chains,
-//! D6, D7) can alternatively be accepted in the baseline's `accept`
-//! lines; stale accepts are findings, keeping the ratchet honest.
+//! allows are findings themselves.
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod explain;
-pub mod graph;
 pub mod lexer;
-pub mod locks;
-pub mod proto;
 pub mod report;
 pub mod rules;
-pub mod sarif;
-pub mod taint;
 pub mod workspace;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -58,58 +45,30 @@ use std::path::Path;
 pub use report::{Finding, Report};
 pub use workspace::{find_root, Tier};
 
-/// Rule id for baseline `accept` lines that no longer match a finding.
-const STALE_ACCEPT_RULE: &str = "stale-accept";
-
-/// A finding that may be suppressed by a baseline `accept` line: it
-/// carries a chain (transitive D1–D3) or belongs to a workspace-graph
-/// rule. Purely local findings must be fixed or `allow`ed in source.
-fn acceptable(f: &Finding) -> bool {
-    !f.chain.is_empty() || f.rule == locks::RULE || f.rule == proto::RULE
-}
-
-/// The fingerprint payload for an acceptable finding: the chain's
-/// function names (stable across line drift) or, for chain-less D6/D7
-/// findings, the message text.
-fn accept_extra(f: &Finding) -> String {
-    if f.chain.is_empty() {
-        f.message.clone()
-    } else {
-        f.chain.iter().map(|s| s.func.as_str()).collect::<Vec<_>>().join(">")
-    }
-}
-
 /// Lint a fully in-memory workspace: `files` are `(root-relative path,
-/// source)` pairs, `design` is the DESIGN.md text, `baseline_text` the
+/// source)` pairs, `manifests` are `(root-relative path, Cargo.toml
+/// text)` pairs, `design` is the DESIGN.md text, `baseline_text` the
 /// committed baseline (None ⇒ missing-file finding). Pure — all I/O
 /// lives in [`run`].
-pub fn analyze(files: &[(String, String)], design: &str, baseline_text: Option<&str>) -> Report {
-    analyze_impl(files, design, baseline_text, true)
-}
-
-fn analyze_impl(
+pub fn analyze(
     files: &[(String, String)],
+    manifests: &[(String, String)],
     design: &str,
     baseline_text: Option<&str>,
-    check_budget: bool,
 ) -> Report {
-    let lexed: Vec<(String, lexer::Lexed)> =
-        files.iter().map(|(rel, src)| (rel.clone(), lexer::lex(src))).collect();
-    let g = graph::Graph::build(&lexed);
-    let mut allows = rules::Allows::default();
     let mut report = Report { files_scanned: files.len(), ..Report::default() };
     let mut findings: Vec<Finding> = Vec::new();
 
-    // -- per-file pass: D1–D3 local, allow hygiene, raw material -------
-    let mut unwraps: BTreeMap<String, usize> = BTreeMap::new();
+    // -- per-file pass: D1–D3, libm, allow hygiene, raw material -------
     let mut source_anchors: Vec<(String, String, u32)> = Vec::new();
     let mut crate_roots: BTreeMap<String, (String, bool)> = BTreeMap::new();
-    for (rel, lx) in &lexed {
+    for (rel, src) in files {
         let key = workspace::crate_key(rel);
         let tier = workspace::tier_of(&key);
-        let checked = rules::check_file(rel, tier, lx, workspace::path_is_test(rel), &mut allows);
+        let lx = lexer::lex(src);
+        let checked = rules::check_source(rel, tier, &lx, workspace::path_is_test(rel));
         findings.extend(checked.findings);
-        *unwraps.entry(key.clone()).or_insert(0) += checked.unwraps;
+        *report.unwraps.entry(key.clone()).or_insert(0) += checked.unwraps;
         for (label, line) in checked.anchors {
             source_anchors.push((label, rel.clone(), line));
         }
@@ -120,23 +79,10 @@ fn analyze_impl(
         }
     }
 
-    // -- workspace-graph rules -----------------------------------------
-    let already: BTreeSet<(String, u32)> = findings
-        .iter()
-        .filter(|f| f.rule == "unordered-iter")
-        .map(|f| (f.file.clone(), f.line))
-        .collect();
-    findings.extend(taint::run(&g, &lexed, &mut allows, &already));
-    let (lock_findings, locks_tracked) = locks::run(&g, &lexed, &mut allows);
-    findings.extend(lock_findings);
-    let (proto_findings, enums_checked) = proto::run(&g, &mut allows);
-    findings.extend(proto_findings);
-    report.stats = report::Stats {
-        functions: g.fns.len(),
-        call_edges: g.calls.iter().filter(|c| !g.resolve(c).is_empty()).count(),
-        enums_checked,
-        locks_tracked,
-    };
+    // -- tier boundary: D1–D3 stay complete across crates --------------
+    for (rel, text) in manifests {
+        findings.extend(workspace::tier_boundary(rel, text));
+    }
 
     // -- D4a: every crate root must carry the forbid -------------------
     for (key, (rel, has)) in &crate_roots {
@@ -181,95 +127,31 @@ fn analyze_impl(
         }
     }
 
-    // -- allow hygiene: only now is "unused" decidable -----------------
-    findings.extend(allows.unused_findings());
-
-    // -- baseline accepts: suppress reviewed graph findings ------------
-    let base = baseline_text.map(baseline::parse);
-    if let Some(base) = &base {
-        let mut used = vec![false; base.accepts.len()];
-        findings.retain(|f| {
-            if !acceptable(f) {
-                return true;
-            }
-            let fp = baseline::fingerprint(f.rule, &f.file, &accept_extra(f));
-            match base
-                .accepts
-                .iter()
-                .position(|a| a.rule == f.rule && a.file == f.file && a.fp == fp)
-            {
-                Some(i) => {
-                    used[i] = true;
-                    report.applied_accepts.push((f.rule.to_string(), f.file.clone(), fp));
-                    false
-                }
-                None => true,
-            }
-        });
-        for (a, used) in base.accepts.iter().zip(&used) {
-            if !used {
-                findings.push(Finding::new(
-                    baseline::BASELINE_FILE,
-                    a.line,
-                    STALE_ACCEPT_RULE,
-                    format!(
-                        "accept entry for `{}` in {} no longer matches any finding — \
-                         regenerate with `--write-baseline`",
-                        a.rule, a.file
-                    ),
-                ));
-            }
-        }
-    }
-
     // -- D5: the ratcheting unwrap budget ------------------------------
-    report.unwraps = unwraps;
-    if check_budget {
-        findings.extend(baseline::compare(baseline_text, &report.unwraps));
-    }
+    findings.extend(baseline::compare(baseline_text, &report.unwraps));
 
     report.findings = findings;
     report.sort();
     report
 }
 
-/// Render the v2 baseline a `--write-baseline` run should commit: live
-/// unwrap counts plus accept lines for every accept still applied and
-/// every acceptable finding still live.
-pub fn render_baseline(report: &Report) -> String {
-    let mut accepts = report.applied_accepts.clone();
-    for f in &report.findings {
-        if acceptable(f) {
-            accepts.push((
-                f.rule.to_string(),
-                f.file.clone(),
-                baseline::fingerprint(f.rule, &f.file, &accept_extra(f)),
-            ));
-        }
-    }
-    baseline::format(&report.unwraps, &accepts)
-}
-
 /// Lint the workspace at `root`. When `write_baseline` is set, the
-/// baseline (unwrap budget + accepts) is rewritten from the live tree
-/// instead of being checked.
+/// unwrap budget is first rewritten from the live tree, so the returned
+/// report reflects the newly committed state.
 pub fn run(root: &Path, write_baseline: bool) -> io::Result<Report> {
-    let files = workspace::collect_rs_files(root)?;
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for (rel, path) in &files {
-        sources.push((rel.clone(), fs::read_to_string(path)?));
+    let mut sources: Vec<(String, String)> = Vec::new();
+    let mut manifests: Vec<(String, String)> = Vec::new();
+    for (rel, path) in workspace::collect_files(root)? {
+        let text = fs::read_to_string(path)?;
+        let into = if rel.ends_with(".rs") { &mut sources } else { &mut manifests };
+        into.push((rel, text));
     }
     let design = fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
     let baseline_path = root.join(baseline::BASELINE_FILE);
-    let baseline_text = fs::read_to_string(&baseline_path).ok();
-
     if write_baseline {
-        let report = analyze_impl(&sources, &design, baseline_text.as_deref(), false);
-        fs::write(&baseline_path, render_baseline(&report))?;
-        // Re-check against what was just written so the exit status and
-        // displayed findings reflect the committed state.
-        Ok(analyze_impl(&sources, &design, Some(&fs::read_to_string(&baseline_path)?), true))
-    } else {
-        Ok(analyze_impl(&sources, &design, baseline_text.as_deref(), true))
+        let live = analyze(&sources, &manifests, &design, None);
+        fs::write(&baseline_path, baseline::format(&live.unwraps))?;
     }
+    let baseline_text = fs::read_to_string(&baseline_path).ok();
+    Ok(analyze(&sources, &manifests, &design, baseline_text.as_deref()))
 }

@@ -1,56 +1,29 @@
 //! CLI for simlint.
 //!
 //! ```text
-//! simlint [--root <dir>] [--json] [--sarif <path>] [--write-baseline]
-//!         [--self-time] [--explain <rule>]
+//! simlint [--root <dir>] [--write-baseline]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings (or self-time budget blown), 2 usage
-//! or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// CI budget for one full workspace lint, in milliseconds.
-const SELF_TIME_BUDGET_MS: u128 = 5_000;
-
-const USAGE: &str = "usage: simlint [--root <dir>] [--json] [--sarif <path>] \
-                     [--write-baseline] [--self-time] [--explain <rule>]";
+const USAGE: &str = "usage: simlint [--root <dir>] [--write-baseline]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut write_baseline = false;
-    let mut self_time = false;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--write-baseline" => write_baseline = true,
-            "--self-time" => self_time = true,
-            "--sarif" => match args.next() {
-                Some(p) => sarif_path = Some(PathBuf::from(p)),
-                None => return usage("--sarif needs a file path"),
-            },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
             },
-            "--explain" => {
-                return match args.next().as_deref().and_then(simlint::explain::explain) {
-                    Some(text) => {
-                        print!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        print!("{}", simlint::explain::listing());
-                        ExitCode::SUCCESS
-                    }
-                };
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -79,8 +52,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // simlint: allow(wall-clock, "the --self-time budget measures the linter itself")
-    let t0 = self_time.then(std::time::Instant::now);
     let report = match simlint::run(&root, write_baseline) {
         Ok(r) => r,
         Err(e) => {
@@ -88,34 +59,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = t0.map(|t| t.elapsed().as_millis());
-
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.to_text());
-    }
-    if let Some(path) = &sarif_path {
-        if let Err(e) = std::fs::write(path, simlint::sarif::render(&report)) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("simlint: wrote {}", path.display());
-    }
+    print!("{}", report.to_text());
     if write_baseline {
         eprintln!("simlint: wrote {}", root.join(simlint::baseline::BASELINE_FILE).display());
     }
-
-    let mut over_budget = false;
-    if let Some(ms) = elapsed_ms {
-        over_budget = ms > SELF_TIME_BUDGET_MS;
-        eprintln!(
-            "simlint: self-time {ms} ms (budget {SELF_TIME_BUDGET_MS} ms){}",
-            if over_budget { " — OVER BUDGET" } else { "" }
-        );
-    }
-
-    if report.clean() && !over_budget {
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

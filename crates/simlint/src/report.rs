@@ -1,22 +1,7 @@
-//! Findings and the human/machine report formats.
+//! Findings and the report format.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One hop of a taint/provenance chain, innermost first: the functions a
-/// finding travelled through before reaching the nondeterministic source
-/// (whose identifier is the last step).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChainStep {
-    /// Qualified function name (`crate::Owner::fn`) or, for the final
-    /// step, the source identifier (`Instant`, `thread_rng`, …).
-    pub func: String,
-    /// Root-relative file of the step.
-    pub file: String,
-    /// 1-based line: the call into the *next* step, or the source line
-    /// for the final step.
-    pub line: u32,
-}
 
 /// One diagnostic. `file` is root-relative with forward slashes so the
 /// output is stable across machines.
@@ -30,37 +15,13 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// Call chain from the reported site to the source; empty for
-    /// purely local findings.
-    pub chain: Vec<ChainStep>,
 }
 
 impl Finding {
-    /// A chain-less finding.
+    /// A finding at `file:line`.
     pub fn new(file: &str, line: u32, rule: &'static str, message: String) -> Finding {
-        Finding { file: file.to_string(), line, rule, message, chain: Vec::new() }
+        Finding { file: file.to_string(), line, rule, message }
     }
-
-    /// Attach a provenance chain.
-    pub fn with_chain(mut self, chain: Vec<ChainStep>) -> Finding {
-        self.chain = chain;
-        self
-    }
-}
-
-/// Analyzer observability counters, printed in the report footer and in
-/// `--json` so a silently-degenerate graph (zero functions parsed, zero
-/// edges resolved) is visible instead of masquerading as a clean run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Functions discovered across the workspace.
-    pub functions: usize,
-    /// Call sites that resolved to at least one workspace function.
-    pub call_edges: usize,
-    /// Protocol enums cross-checked by D7.
-    pub enums_checked: usize,
-    /// Distinct locks tracked by D6.
-    pub locks_tracked: usize,
 }
 
 /// The full result of one lint run.
@@ -72,12 +33,6 @@ pub struct Report {
     pub unwraps: BTreeMap<String, usize>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Graph/analysis counters.
-    pub stats: Stats,
-    /// Accepted baseline entries that matched a live finding this run,
-    /// as `(rule, file, fingerprint)` — carried so a rewritten baseline
-    /// does not drop them.
-    pub applied_accepts: Vec<(String, String, String)>,
 }
 
 impl Report {
@@ -98,15 +53,11 @@ impl Report {
         });
     }
 
-    /// `file:line: [rule] message` lines (chains indented below their
-    /// finding) plus a summary footer.
+    /// `file:line: [rule] message` lines plus a summary footer.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for f in &self.findings {
             let _ = writeln!(s, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-            for step in &f.chain {
-                let _ = writeln!(s, "    via {} ({}:{})", step.func, step.file, step.line);
-            }
         }
         let _ = writeln!(
             s,
@@ -116,95 +67,8 @@ impl Report {
             self.unwraps.values().sum::<usize>(),
             self.unwraps.len()
         );
-        let _ = writeln!(
-            s,
-            "simlint: graph: {} function(s), {} call edge(s), {} protocol enum(s), {} lock(s)",
-            self.stats.functions,
-            self.stats.call_edges,
-            self.stats.enums_checked,
-            self.stats.locks_tracked
-        );
         s
     }
-
-    /// Machine-readable report (hand-rolled: the workspace is offline and
-    /// simlint is dependency-free by construction).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"clean\": ");
-        s.push_str(if self.clean() { "true" } else { "false" });
-        let _ = write!(s, ",\n  \"files_scanned\": {},", self.files_scanned);
-        let _ = write!(
-            s,
-            "\n  \"stats\": {{\"functions\": {}, \"call_edges\": {}, \"enums_checked\": {}, \
-             \"locks_tracked\": {}}},",
-            self.stats.functions,
-            self.stats.call_edges,
-            self.stats.enums_checked,
-            self.stats.locks_tracked
-        );
-        s.push_str("\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\", \
-                 \"chain\": [",
-                escape(&f.file),
-                f.line,
-                f.rule,
-                escape(&f.message)
-            );
-            for (j, step) in f.chain.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"func\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-                    escape(&step.func),
-                    escape(&step.file),
-                    step.line
-                );
-            }
-            s.push_str("]}");
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"unwraps\": {");
-        for (i, (k, v)) in self.unwraps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    \"{}\": {}", escape(k), v);
-        }
-        if !self.unwraps.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
-        s
-    }
-}
-
-/// Minimal JSON string escaping.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -214,15 +78,11 @@ mod tests {
     fn sample() -> Report {
         let mut r = Report {
             findings: vec![
-                Finding::new("b.rs", 2, "wall-clock", "x \"quoted\"".into()).with_chain(vec![
-                    ChainStep { func: "core::helper".into(), file: "c.rs".into(), line: 7 },
-                    ChainStep { func: "Instant".into(), file: "c.rs".into(), line: 9 },
-                ]),
+                Finding::new("b.rs", 2, "wall-clock", "x".into()),
                 Finding::new("a.rs", 9, "anchor", "y".into()),
             ],
             unwraps: BTreeMap::from([("core".to_string(), 3usize)]),
             files_scanned: 2,
-            ..Report::default()
         };
         r.sort();
         r
@@ -236,32 +96,15 @@ mod tests {
     }
 
     #[test]
-    fn text_has_file_line_rule_and_chain() {
-        let r = sample();
-        let t = r.to_text();
+    fn text_has_file_line_rule_and_footer() {
+        let t = sample().to_text();
         assert!(t.contains("a.rs:9: [anchor] y"));
-        assert!(t.contains("2 finding(s)"));
-        assert!(t.contains("    via core::helper (c.rs:7)"));
-        assert!(t.contains("    via Instant (c.rs:9)"));
-    }
-
-    #[test]
-    fn json_is_escaped_and_complete() {
-        let r = sample();
-        let j = r.to_json();
-        assert!(j.contains("\"clean\": false"));
-        assert!(j.contains("x \\\"quoted\\\""));
-        assert!(j.contains("\"core\": 3"));
-        assert!(
-            j.contains("\"chain\": [{\"func\": \"core::helper\", \"file\": \"c.rs\", \"line\": 7}")
-        );
-        assert!(j.contains("\"stats\""));
+        assert!(t.contains("b.rs:2: [wall-clock] x"));
+        assert!(t.contains("2 finding(s), 3 unwrap(s) across 1 crate(s)"));
     }
 
     #[test]
     fn empty_report_is_clean() {
-        let r = Report::default();
-        assert!(r.clean());
-        assert!(r.to_json().contains("\"clean\": true"));
+        assert!(Report::default().clean());
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! | id                       | tier          | what it catches                                   |
 //! |--------------------------|---------------|---------------------------------------------------|
-//! | `wall-clock`             | deterministic | `Instant`, `SystemTime`, `thread::sleep` — direct or through a call chain |
-//! | `unordered-iter`         | deterministic | iterating a `HashMap`/`HashSet` binding, field or hash-returning call |
-//! | `ambient-entropy`        | deterministic | `thread_rng`, `from_entropy`, `RandomState` — direct or through a call chain |
+//! | `wall-clock`             | deterministic | `Instant`, `SystemTime`, `thread::sleep`          |
+//! | `unordered-iter`         | deterministic | iterating a `HashMap`/`HashSet` binding or field  |
+//! | `ambient-entropy`        | deterministic | `thread_rng`, `from_entropy`, `RandomState`       |
+//! | `libm`                   | deterministic | transcendental float calls (`ln`, `exp`, `sin`, …)|
+//! | `tier-boundary`          | deterministic | a `[dependencies]` entry naming an exempt crate   |
 //! | `forbid-unsafe`          | all           | crate root missing `#![forbid(unsafe_code)]`      |
 //! | `anchor`                 | all           | `[OCPT` §x.y`]` anchors out of sync with DESIGN.md|
 //! | `unwrap-budget`          | all           | per-crate `.unwrap()` count above the baseline    |
-//! | `lock-order`             | all           | lock-acquisition cycles, double-acquire, guard held across send/join |
-//! | `protocol-exhaustiveness`| all           | protocol enum variants without handler or codec arms |
 //! | `allow-*`                | all           | malformed / unjustified / unused escape hatches   |
 //!
 //! Escape hatch: a line (or the line directly below) can be excused with
@@ -17,20 +17,16 @@
 //! is mandatory and unused allows are themselves findings, so the hatch
 //! cannot rot silently.
 //!
-//! This module owns the *per-file* rules; the workspace-graph rules live
-//! in [`crate::taint`] (transitive D1–D3), [`crate::locks`] (D6) and
-//! [`crate::proto`] (D7), all sharing the [`Allows`] table so one escape
-//! hatch grammar serves every rule.
+//! This module owns the per-file rules; `tier-boundary` lives in
+//! [`crate::workspace`], and the crate-level D4/D5 checks are assembled
+//! in [`crate::analyze`].
 
-use std::collections::BTreeMap;
-
-use crate::graph::type_is_hash;
 use crate::lexer::{Comment, Lexed, Tok, Token};
 use crate::report::Finding;
 use crate::workspace::Tier;
 
 /// Methods that observe iteration order when called on a hash container.
-pub(crate) const ITER_METHODS: &[&str] = &[
+const ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -44,14 +40,22 @@ pub(crate) const ITER_METHODS: &[&str] = &[
 ];
 
 /// Identifiers that pull entropy from the environment.
-pub(crate) const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "RandomState"];
+const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "RandomState"];
+
+/// Float methods whose results come from the host's libm and are not
+/// correctly rounded by contract, so two hosts may disagree in the last
+/// bit. `sqrt` is IEEE-exact and stays allowed.
+const LIBM_METHODS: &[&str] = &[
+    "ln", "exp", "exp2", "exp_m1", "ln_1p", "log", "log2", "log10", "powf", "powi", "sin", "cos",
+    "tan", "tanh", "atan2", "cbrt", "hypot",
+];
 
 /// Result of linting one file in isolation (cross-file rules — anchors,
 /// unwrap budget, forbid-unsafe — are assembled by the caller from the
 /// `unwraps` / `anchors` / `has_forbid_unsafe` fields).
 #[derive(Clone, Debug, Default)]
 pub struct SourceCheck {
-    /// D1–D3 and allow-hygiene findings for this file.
+    /// D1–D3, libm and allow-hygiene findings for this file.
     pub findings: Vec<Finding>,
     /// Number of `.unwrap(` call sites (test code included — the budget
     /// covers everything).
@@ -65,128 +69,70 @@ pub struct SourceCheck {
 
 /// One parsed escape-hatch comment.
 #[derive(Clone, Debug)]
-pub struct Allow {
+struct Allow {
     /// The rule it excuses.
-    pub rule: String,
+    rule: String,
     /// The mandatory justification (may be empty — that is itself a
     /// finding, emitted at parse time).
-    pub why: String,
+    why: String,
     /// 1-based line of the comment; it covers this line and the next.
-    pub line: u32,
+    line: u32,
     /// Set when some finding was actually suppressed by it.
-    pub used: bool,
+    used: bool,
 }
 
-/// The workspace-wide escape-hatch table. Per-file and workspace-graph
-/// passes all suppress through the same table, so `allow-unused` can only
-/// be decided once *every* rule has run.
-#[derive(Clone, Debug, Default)]
-pub struct Allows {
-    by_file: BTreeMap<String, Vec<Allow>>,
-}
-
-impl Allows {
-    /// Parse the escape hatches of one file into the table, returning
-    /// hygiene findings (malformed shape, empty justification).
-    pub fn parse_file(&mut self, rel_path: &str, comments: &[Comment]) -> Vec<Finding> {
-        let (allows, findings) = parse_allows(rel_path, comments);
-        self.by_file.entry(rel_path.to_string()).or_default().extend(allows);
-        findings
-    }
-
-    /// True when an allow for `rule` covers `line` of `file`; marks the
-    /// matching allow used.
-    pub fn suppress(&mut self, file: &str, rule: &str, line: u32) -> bool {
-        let Some(allows) = self.by_file.get_mut(file) else { return false };
-        match allows.iter_mut().find(|a| a.rule == rule && (a.line == line || a.line + 1 == line)) {
-            Some(a) => {
-                a.used = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// `allow-unused` findings for every justified allow that never
-    /// suppressed anything. Call once, after all rules have run.
-    pub fn unused_findings(&self) -> Vec<Finding> {
-        let mut out = Vec::new();
-        for (file, allows) in &self.by_file {
-            for a in allows {
-                if !a.used && !a.why.is_empty() {
-                    out.push(Finding::new(
-                        file,
-                        a.line,
-                        "allow-unused",
-                        format!(
-                            "allow({}) suppresses nothing on this or the next line — remove it",
-                            a.rule
-                        ),
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Lint one lexed file against a shared [`Allows`] table. Escape hatches
-/// are parsed into the table and D1–D3 suppression is recorded there;
-/// `allow-unused` is *not* emitted here — the caller decides once every
-/// pass (including the workspace-graph rules) has had its chance.
-pub fn check_file(
-    rel_path: &str,
-    tier: Tier,
-    lexed: &Lexed,
-    path_is_test: bool,
-    allows: &mut Allows,
-) -> SourceCheck {
-    let mut out = SourceCheck {
-        unwraps: count_unwraps(&lexed.tokens),
-        anchors: extract_anchors_from_comments(&lexed.comments),
-        has_forbid_unsafe: has_forbid_unsafe(&lexed.tokens),
-        ..SourceCheck::default()
-    };
-
-    let mut findings = allows.parse_file(rel_path, &lexed.comments);
-
+/// Lint one lexed file. D1–D3 and libm apply to non-test code of the
+/// deterministic tier; escape hatches suppress a finding on their own
+/// line or the next, and an allow that suppresses nothing is a finding.
+pub fn check_source(rel_path: &str, tier: Tier, lexed: &Lexed, path_is_test: bool) -> SourceCheck {
+    let (mut allows, mut findings) = parse_allows(rel_path, &lexed.comments);
     if tier == Tier::Deterministic && !path_is_test {
         for f in deterministic_findings(rel_path, lexed) {
             if lexed.in_test_code(f.line) {
                 continue;
             }
-            if allows.suppress(rel_path, f.rule, f.line) {
-                continue;
+            match allows
+                .iter_mut()
+                .find(|a| a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line))
+            {
+                Some(a) => a.used = true,
+                None => findings.push(f),
             }
-            findings.push(f);
         }
     }
-
-    out.findings = findings;
-    out
+    for a in allows.iter().filter(|a| !a.used && !a.why.is_empty()) {
+        findings.push(Finding::new(
+            rel_path,
+            a.line,
+            "allow-unused",
+            format!("allow({}) suppresses nothing on this or the next line — remove it", a.rule),
+        ));
+    }
+    SourceCheck {
+        findings,
+        unwraps: count_unwraps(&lexed.tokens),
+        anchors: extract_anchors_from_comments(&lexed.comments),
+        has_forbid_unsafe: has_forbid_unsafe(&lexed.tokens),
+    }
 }
 
-/// Lint one lexed file in isolation (the v1 entry point): same as
-/// [`check_file`] with a file-local allow table, with `allow-unused`
-/// decided immediately.
-pub fn check_source(rel_path: &str, tier: Tier, lexed: &Lexed, path_is_test: bool) -> SourceCheck {
-    let mut allows = Allows::default();
-    let mut out = check_file(rel_path, tier, lexed, path_is_test, &mut allows);
-    out.findings.extend(allows.unused_findings());
-    out
-}
-
-/// D1 + D2 + D3 for one file, before allow/test-region filtering.
-pub(crate) fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
+/// D1 + D2 + D3 + libm for one file, before allow/test-region filtering.
+fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();
     let mk = |line: u32, rule: &'static str, message: String| {
         Finding::new(rel_path, line, rule, message)
     };
+    let unordered = |line: u32, how: String| {
+        let why = "iterates a hash container — order is a function of RandomState, not of the \
+                   run; use BTreeMap/BTreeSet or sort first";
+        mk(line, "unordered-iter", format!("{how} {why}"))
+    };
+    let hash_names = collect_hash_names(toks);
 
-    // D1 wall-clock and D3 ambient entropy: single-identifier scans.
-    // Raw identifiers count too — `r#Instant` resolves to the same item.
     for (i, t) in toks.iter().enumerate() {
+        // D1 wall-clock and D3 ambient entropy: single-identifier scans.
+        // Raw identifiers count too — `r#Instant` resolves to the same item.
         let Some(w) = t.tok.ident() else { continue };
         match w {
             "Instant" | "SystemTime" => out.push(mk(
@@ -206,58 +152,30 @@ pub(crate) fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Findi
             )),
             _ => {}
         }
-    }
-
-    // D2: collect hash-typed binding names, then flag iterations of them.
-    let hash_names = collect_hash_names(toks);
-    out.extend(iteration_findings(rel_path, toks, &hash_names, |name, method, line| {
-        let how = match method {
-            Some(m) => format!("`{name}.{m}()`"),
-            None => format!("`for … in {name}`"),
-        };
-        Finding::new(
-            rel_path,
-            line,
-            "unordered-iter",
-            format!(
-                "{how} iterates a hash container — order is a function of RandomState, not of \
-                 the run; use BTreeMap/BTreeSet or sort first"
-            ),
-        )
-    }));
-
-    out
-}
-
-/// Flag every iteration (method-style or `for … in`) of a name from
-/// `names`. The `mk` callback builds the finding: `(name, Some(method))`
-/// for `.iter()`-style sites, `(name, None)` for for-loops.
-pub(crate) fn iteration_findings(
-    _rel_path: &str,
-    toks: &[Token],
-    names: &[String],
-    mk: impl Fn(&str, Option<&str>, u32) -> Finding,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if names.is_empty() {
-        return out;
-    }
-    for i in 0..toks.len() {
-        // name.method( … ) where method observes iteration order.
-        if let (Some(name), Some(Tok::Punct('.')), Some(Tok::Ident(m)), Some(Tok::Punct('('))) = (
-            toks[i].tok.ident(),
-            toks.get(i + 1).map(|t| &t.tok),
-            toks.get(i + 2).map(|t| &t.tok),
-            toks.get(i + 3).map(|t| &t.tok),
-        ) {
-            if names.iter().any(|n| n == name) && ITER_METHODS.contains(&m.as_str()) {
-                out.push(mk(name, Some(m), toks[i + 2].line));
+        // `.m(` method calls: libm, and D2 on a hash-typed receiver.
+        let is_call = i > 0
+            && toks[i - 1].tok == Tok::Punct('.')
+            && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('('));
+        if is_call && LIBM_METHODS.contains(&w) {
+            out.push(mk(
+                t.line,
+                "libm",
+                format!(
+                    "`.{w}()` is the host libm's, not correctly rounded — results may differ \
+                     between hosts; use exact arithmetic"
+                ),
+            ));
+        }
+        if is_call && ITER_METHODS.contains(&w) {
+            let receiver = i.checked_sub(2).and_then(|r| toks[r].tok.ident());
+            if let Some(name) = receiver.filter(|n| hash_names.iter().any(|h| h == n)) {
+                out.push(unordered(t.line, format!("`{name}.{w}()`")));
             }
         }
-        // for … in [&[mut]] path::to::name {
-        if toks[i].tok.is_kw("in") && i > 0 {
-            if let Some((name, line)) = for_loop_hash_target(toks, i, names) {
-                out.push(mk(&name, None, line));
+        // D2: for … in [&[mut]] path::to::name {
+        if t.tok.is_kw("in") && i > 0 {
+            if let Some((name, line)) = for_loop_hash_target(toks, i, &hash_names) {
+                out.push(unordered(line, format!("`for … in {name}`")));
             }
         }
     }
@@ -280,7 +198,7 @@ fn path_prefix_is(toks: &[Token], i: usize, prefix: &str) -> bool {
 ///    (`Vec<HashMap<…>>` does not — iterating the Vec is ordered);
 ///  * `name = HashMap::…` / `name = …collect::<HashSet<…>>()` (inferred
 ///    lets, assignments of constructor or collector calls).
-pub(crate) fn collect_hash_names(toks: &[Token]) -> Vec<String> {
+fn collect_hash_names(toks: &[Token]) -> Vec<String> {
     let mut names = Vec::new();
     for i in 0..toks.len() {
         let Some(name) = toks[i].tok.ident() else { continue };
@@ -334,6 +252,37 @@ pub(crate) fn collect_hash_names(toks: &[Token]) -> Vec<String> {
     names.sort_unstable();
     names.dedup();
     names
+}
+
+/// True when the type tokens name a hash container, looking through
+/// references, deref wrappers (`Arc`, `Rc`, `Box`, `Cow`) and path
+/// prefixes (`std::collections::HashMap`), but not into other generic
+/// containers: `Vec<HashMap<…>>` iterates in index order.
+fn type_is_hash(toks: &[Token]) -> bool {
+    const TRANSPARENT: &[&str] = &["Arc", "Rc", "Box", "Cow"];
+    let mut i = 0usize;
+    while i < toks.len() {
+        match &toks[i].tok {
+            Tok::Punct('&') | Tok::Punct('<') | Tok::Lifetime => i += 1,
+            Tok::Ident(w) if w == "mut" || w == "dyn" || w == "impl" => i += 1,
+            t => {
+                let Some(w) = t.ident() else { return false };
+                if w == "HashMap" || w == "HashSet" {
+                    return true;
+                }
+                let is_path_prefix = toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
+                    && toks.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(':'));
+                if is_path_prefix {
+                    i += 3;
+                } else if TRANSPARENT.contains(&w) {
+                    i += 1;
+                } else {
+                    return false;
+                }
+            }
+        }
+    }
+    false
 }
 
 /// Extent of a type starting at `start`: up to the first
@@ -596,6 +545,13 @@ mod tests {
     }
 
     #[test]
+    fn hash_fields_collected_with_outer_type_precision() {
+        let src = "struct S { live: HashSet<u64>, ordered: Vec<HashMap<u8, u8>>, \
+                   shared: Arc<HashMap<u8, u8>>, path: std::collections::HashMap<u8, u8> }";
+        assert_eq!(collect_hash_names(&lex(src).tokens), vec!["live", "path", "shared"]);
+    }
+
+    #[test]
     fn collect_turbofish_into_hash_binds() {
         let src = "let picked = xs.iter().collect::<HashSet<u32>>();\nfor x in &picked { }";
         let c = check(Tier::Deterministic, src);
@@ -688,18 +644,5 @@ mod tests {
         let c = check_source("crates/core/tests/x.rs", Tier::Deterministic, &lexed, true);
         assert!(c.findings.is_empty());
         assert_eq!(c.unwraps, 1);
-    }
-
-    #[test]
-    fn shared_allow_table_defers_unused_decision() {
-        let mut allows = Allows::default();
-        let lexed =
-            lex("// simlint: allow(lock-order, \"drops before send by construction\")\nlet x = 1;");
-        let c = check_file("fixture.rs", Tier::Deterministic, &lexed, false, &mut allows);
-        assert!(c.findings.is_empty(), "{:?}", c.findings);
-        // A later workspace pass suppresses through the same table…
-        assert!(allows.suppress("fixture.rs", "lock-order", 2));
-        // …so the final sweep reports nothing.
-        assert!(allows.unused_findings().is_empty());
     }
 }

@@ -6,6 +6,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::report::Finding;
+
 /// How strictly a crate is held to the determinism rules (D1–D3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
@@ -47,6 +49,48 @@ pub fn tier_of(key: &str) -> Tier {
     }
 }
 
+/// Package names of the exempt workspace crates (`runtime`, `cli`, the
+/// root facade).
+const EXEMPT_PACKAGES: &[&str] = &["ocpt-runtime", "ocpt-cli", "ocpt"];
+
+/// Rule `tier-boundary`: a deterministic crate's `Cargo.toml` must not
+/// name an exempt workspace crate under `[dependencies]`. D1–D3 check
+/// each file on its own; this is what makes them transitively complete,
+/// since a deterministic function can then only call code that the same
+/// rules checked. Dev-dependencies are test code and stay free.
+pub(crate) fn tier_boundary(rel: &str, manifest: &str) -> Vec<Finding> {
+    let mut out = Vec::new();
+    if tier_of(&crate_key(rel)) != Tier::Deterministic {
+        return out;
+    }
+    let mut in_deps = false;
+    for (idx, raw) in manifest.lines().enumerate() {
+        let line = raw.trim();
+        // `[dependencies.ocpt-runtime]` names the dependency in its header.
+        let dep = if let Some(header) = line.strip_prefix('[') {
+            in_deps = header == "dependencies]";
+            header.strip_prefix("dependencies.").map(|d| d.trim_end_matches(']'))
+        } else if in_deps {
+            line.split(['=', '.']).next()
+        } else {
+            None
+        };
+        if let Some(dep) = dep.map(str::trim).filter(|d| EXEMPT_PACKAGES.contains(d)) {
+            out.push(Finding::new(
+                rel,
+                idx as u32 + 1,
+                "tier-boundary",
+                format!(
+                    "deterministic crate `{}` depends on exempt crate `{dep}` — its wall-clock \
+                     and entropy would reach the simulation unchecked",
+                    crate_key(rel)
+                ),
+            ));
+        }
+    }
+    out
+}
+
 /// Map a root-relative path (forward slashes) to its owning crate key:
 /// `crates/<name>/…` → `<name>`, anything else (root `src/`, `tests/`,
 /// `examples/`) → `root`.
@@ -86,11 +130,11 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Collect every `.rs` file under `root` (skipping `SKIP_DIRS`),
-/// keyed by root-relative forward-slash path. The BTreeMap makes the
-/// scan order — and therefore every diagnostic and the JSON report —
-/// independent of filesystem enumeration order.
-pub fn collect_rs_files(root: &Path) -> io::Result<BTreeMap<String, PathBuf>> {
+/// Collect every `.rs` file and `Cargo.toml` under `root` (skipping
+/// `SKIP_DIRS`), keyed by root-relative forward-slash path. The BTreeMap
+/// makes the scan order — and therefore every diagnostic — independent
+/// of filesystem enumeration order.
+pub(crate) fn collect_files(root: &Path) -> io::Result<BTreeMap<String, PathBuf>> {
     let mut out = BTreeMap::new();
     walk(root, root, &mut out)?;
     Ok(out)
@@ -107,7 +151,7 @@ fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, PathBuf>) -> io::Res
                 continue;
             }
             walk(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             let rel = path
                 .strip_prefix(root)
                 .map_err(|_| io::Error::new(io::ErrorKind::Other, "path escaped root"))?;
@@ -142,6 +186,19 @@ mod tests {
         for k in ["runtime", "cli", "root", "unknown-crate"] {
             assert_eq!(tier_of(k), Tier::Exempt, "{k}");
         }
+    }
+
+    #[test]
+    fn tier_boundary_flags_exempt_dependencies_of_deterministic_crates() {
+        let toml = "[package]\nname = \"ocpt-harness\"\n\n[dependencies]\n\
+                    ocpt-sim.workspace = true\nocpt-runtime = { path = \"../runtime\" }\n\n\
+                    [dev-dependencies]\nocpt-cli.workspace = true\n\n[dependencies.ocpt]\n";
+        let f = tier_boundary("crates/harness/Cargo.toml", toml);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![6, 11], "{f:?}");
+        assert!(f[0].message.contains("`ocpt-runtime`"), "{}", f[0].message);
+        // Exempt crates may depend on anything.
+        assert!(tier_boundary("crates/cli/Cargo.toml", toml).is_empty());
+        assert!(tier_boundary("Cargo.toml", toml).is_empty());
     }
 
     #[test]

@@ -15,15 +15,6 @@ fn live_workspace_is_clean() {
     let zero = |k: &str| report.unwraps.get(k).copied().unwrap_or(0);
     assert_eq!(zero("core"), 0, "core must stay unwrap-free (use expect with an invariant)");
     assert_eq!(zero("sim"), 0, "sim must stay unwrap-free (use expect with an invariant)");
-    // The symbol graph really resolved the tree — a lexer or parser
-    // regression that drops every function would otherwise read as clean.
-    assert!(report.stats.functions > 200, "only {} functions in graph", report.stats.functions);
-    assert!(report.stats.call_edges > 500, "only {} call edges", report.stats.call_edges);
-    assert!(
-        report.stats.enums_checked >= 4,
-        "Envelope, Status, CtrlKind and Direction are protocol enums; got {}",
-        report.stats.enums_checked
-    );
 }
 
 #[test]
@@ -37,19 +28,8 @@ fn committed_baseline_is_v2_and_byte_exact() {
     // would produce is exactly what is committed.
     let report = simlint::run(&root, false).expect("workspace scan must succeed");
     assert_eq!(
-        simlint::render_baseline(&report),
+        simlint::baseline::format(&report.unwraps),
         committed,
         "committed simlint.baseline is stale — run `cargo run -p simlint -- --write-baseline`"
     );
-}
-
-#[test]
-fn workspace_json_report_is_well_formed() {
-    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = simlint::find_root(here).expect("simlint lives inside the workspace");
-    let report = simlint::run(&root, false).expect("workspace scan must succeed");
-    let json = report.to_json();
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"files_scanned\""));
-    assert!(json.contains("\"unwraps\""));
 }

@@ -152,6 +152,8 @@ proptest! {
     /// not a round number, so no finish tag sits exactly `tolerance` past
     /// another — on that knife edge float noise decides whether two writes
     /// finish together, and the models may differ by up to k ns.
+    /// `finish_tags_exactly_tolerance_apart_complete_together` pins the
+    /// edge itself with exact floats.
     #[test]
     fn matches_the_scanning_reference_model(schedule in ops(40)) {
         let bps = 1_234_567.0;
@@ -230,6 +232,33 @@ fn ties_complete_in_request_order() {
     let done = s.take_completed();
     assert_eq!(done.iter().map(|c| c.req.0).collect::<Vec<_>>(), vec![1, 2, 3]);
     assert!(done.iter().all(|c| c.at == SimTime::from_millis(1500)));
+}
+
+/// The knife edge the generators above avoid: a finish tag exactly
+/// `tolerance` past the completing one. At 1 GB/s the tolerance is exactly
+/// one byte and every quantity below is an exact float, so the outcome is
+/// the one `(finish, req)` ordering defines. The write one byte longer than
+/// the head finishes with it, after it although its request id is lower.
+/// The write two bytes longer lies outside the head's horizon and finishes
+/// alone, 2 ns later.
+#[test]
+fn finish_tags_exactly_tolerance_apart_complete_together() {
+    let bps = 1e9;
+    let mut s = StorageServer::new(cfg(bps));
+    let mut r = Reference::new(bps);
+    assert_eq!(r.tolerance, 1.0);
+    for (req, bytes) in [(2, 4096), (1, 4097), (0, 4098)] {
+        s.submit(SimTime::ZERO, ProcessId(req as u32), StorageReqId(req), bytes);
+        r.submit(SimTime::ZERO, req, bytes);
+    }
+    s.advance(DRAINED);
+    r.advance(DRAINED);
+    let got: Vec<(u64, SimTime)> = s.take_completed().iter().map(|c| (c.req.0, c.at)).collect();
+    // Three writers share the bandwidth until the head has 4096 B.
+    let head = SimTime::from_nanos(3 * 4096);
+    let want = vec![(2, head), (1, head), (0, head + SimDuration::from_nanos(2))];
+    assert_eq!(got, want);
+    assert_eq!(r.done, want);
 }
 
 /// A same-instant storm of k = 10⁵ writers, all of different sizes (so

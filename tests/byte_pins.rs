@@ -22,11 +22,15 @@ fn base(n: usize, seed: u64) -> RunConfig {
 }
 
 /// The run's digest; `counter` must be positive in it, so that the pin
-/// covers the path it is named after.
+/// covers the path it is named after. A run without a recovery must also
+/// have no orphan storage completions: only a rollback forgets writes.
 fn digest(ocfg: OcptConfig, cfg: RunConfig, counter: &str) -> u64 {
     let r = run(&Algo::Ocpt(ocfg), cfg);
     assert!(r.protocol_error.is_none(), "{:?}", r.protocol_error);
     assert!(r.counters.get(counter) > 0, "no {counter} in the run");
+    if r.counters.get("recovery.performed") == 0 {
+        assert_eq!(r.counters.get("storage.orphan_completions"), 0, "orphans without a rollback");
+    }
     let h = fnv1a(0xCBF2_9CE4_8422_2325, r.trace_jsonl().as_bytes());
     fnv1a(h, r.metrics_json().as_bytes())
 }

@@ -61,6 +61,20 @@ fn wire_bytes_move_only_for_the_causal_variant() {
     assert_eq!(selective.counters.get("log.received_det"), 0);
 }
 
+/// Orphan storage completions come only from a rollback: the runner
+/// forgets the writes it had in flight while the server keeps serving
+/// them. A run that never recovers must hand every completion back to the
+/// write that asked for it, under every strategy.
+#[test]
+fn no_orphan_completions_without_recovery() {
+    for kind in LoggingKind::ALL {
+        let r = run_checked(&Algo::ocpt_logging(kind), base_cfg(6, 31));
+        assert_eq!(r.counters.get("recovery.performed"), 0, "{kind:?}: fault-free run recovered");
+        assert!(r.counters.get("ckpt.durable") > 0, "{kind:?}: no checkpoint reached storage");
+        assert_eq!(r.counters.get("storage.orphan_completions"), 0, "{kind:?}");
+    }
+}
+
 /// Every strategy's recorded history is deterministic: the trace is a pure
 /// function of `(config, seed)` under either scheduler kernel.
 #[test]
