@@ -188,6 +188,15 @@ pub trait CheckpointProtocol {
         let _ = (tag, out);
     }
 
+    /// Whether every checkpoint also writes a [`ProtoAction::FlushExtra`]
+    /// that may come after its [`ProtoAction::Complete`]: OCPT's message
+    /// log, the last write of a checkpoint whose state was flushed early.
+    /// A driver records such a checkpoint durable only once that write is
+    /// in. The baselines issue every write before `Complete`.
+    fn logs_after_complete(&self) -> bool {
+        false
+    }
+
     /// A stable-storage write for checkpoint `seq` became durable.
     fn on_storage_done(&mut self, seq: u64, out: &mut Vec<ProtoAction<Self::Env>>) {
         let _ = (seq, out);

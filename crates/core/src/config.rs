@@ -128,19 +128,13 @@ pub struct OcptConfig {
     /// *basic* algorithm of Fig. 3, which can fail to converge — the
     /// convergence tests demonstrate exactly that.
     pub control_messages: bool,
-    /// §3.5.1 case (1): suppress `CK_BGN` when a smaller-id process is
-    /// known to have taken the tentative checkpoint.
-    pub optimize_ck_bgn: bool,
-    /// §3.5.1 case (2): skip already-tentative processes when forwarding
-    /// `CK_REQ`.
-    pub optimize_ck_req: bool,
-    /// The fix the paper pairs with CK_BGN suppression: `P_0` broadcasts
-    /// `CK_END` whenever it finalizes, so suppressed processes cannot
-    /// starve.
-    pub p0_broadcast_on_finalize: bool,
-    /// Re-arm the convergence timer after it fires (not in the paper;
-    /// defensive option, default off so message counts match Fig. 4).
-    pub rearm_timer: bool,
+    /// The §3.5.1 control-message reductions, on or off together:
+    /// suppress `CK_BGN` when a smaller-id process is known tentative
+    /// (case 1), skip already-tentative processes when forwarding `CK_REQ`
+    /// (case 2), and have `P_0` broadcast `CK_END` whenever it finalizes —
+    /// the fix the paper pairs with case 1, without which suppressed
+    /// processes can starve. Off is the naive control layer (ablation A1).
+    pub optimized_control: bool,
     /// Shape of the control wave: the paper's flat ring, explicit groups,
     /// or the automatic √N sharding above a size threshold.
     pub control_topology: ControlTopology,
@@ -160,10 +154,7 @@ impl Default for OcptConfig {
         OcptConfig {
             convergence_timeout: SimDuration::from_millis(250),
             control_messages: true,
-            optimize_ck_bgn: true,
-            optimize_ck_req: true,
-            p0_broadcast_on_finalize: true,
-            rearm_timer: false,
+            optimized_control: true,
             // N ≤ 512 keeps the paper-exact flat ring; larger systems
             // shard into ⌈√N⌉-sized groups. Every stock experiment runs
             // at N ≤ 128, so defaults stay byte-identical to the flat era.
@@ -181,12 +172,7 @@ impl OcptConfig {
     /// process sends `CK_BGN`; `CK_REQ` walks the full ring; no proactive
     /// `CK_END` broadcast (the reactive one in Fig. 4 suffices).
     pub fn naive_control() -> Self {
-        OcptConfig {
-            optimize_ck_bgn: false,
-            optimize_ck_req: false,
-            p0_broadcast_on_finalize: false,
-            ..Default::default()
-        }
+        OcptConfig { optimized_control: false, ..Default::default() }
     }
 
     /// The pure basic algorithm of Fig. 3 — no control messages at all.
@@ -194,18 +180,11 @@ impl OcptConfig {
         OcptConfig { control_messages: false, ..Default::default() }
     }
 
-    /// Check internal consistency. CK_BGN suppression without the `P_0`
-    /// broadcast is the starvation hazard the paper warns about (§3.5.1
-    /// case 1), so it is rejected here; a dedicated test shows the hazard
-    /// by bypassing validation.
+    /// Check internal consistency: an armed convergence timer needs a
+    /// positive timeout.
     pub fn validate(&self) -> Result<(), String> {
         if self.control_messages && self.convergence_timeout.is_zero() {
             return Err("convergence_timeout must be positive".into());
-        }
-        if self.optimize_ck_bgn && !self.p0_broadcast_on_finalize {
-            return Err("optimize_ck_bgn requires p0_broadcast_on_finalize (suppressed \
-                 processes can starve otherwise; see paper §3.5.1 case 1)"
-                .into());
         }
         Ok(())
     }
@@ -224,12 +203,6 @@ mod tests {
     fn naive_and_basic_are_valid() {
         assert!(OcptConfig::naive_control().validate().is_ok());
         assert!(OcptConfig::basic_only().validate().is_ok());
-    }
-
-    #[test]
-    fn suppression_without_broadcast_rejected() {
-        let c = OcptConfig { p0_broadcast_on_finalize: false, ..Default::default() };
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -63,27 +63,19 @@ impl OcptProcess {
             // P_0 initiates CK_REQ messages directly.
             self.forward_ck_req(out);
         } else {
-            if self.config().optimize_ck_bgn {
+            if self.config().optimized_control {
                 // [OCPT §3.5.1] case 1 (CK_BGN suppression): if some P_j
                 // with j < i is known tentative,
                 // that process (or a smaller one) will notify P_0.
                 if let Some(min) = self.tent_set().min() {
                     if min < self.id() {
                         self.stats_mut().inc("ctrl.bgn_suppressed");
-                        self.maybe_rearm(out);
                         return;
                     }
                 }
             }
             self.stats_mut().inc("ctrl.bgn_sent");
             send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
-        }
-        self.maybe_rearm(out);
-    }
-
-    fn maybe_rearm(&mut self, out: &mut Out) {
-        if self.config().rearm_timer && self.status() == Status::Tentative {
-            self.arm_convergence_timer(out);
         }
     }
 
@@ -105,7 +97,7 @@ impl OcptProcess {
         let csn = self.csn();
         let dst = if self.status() == Status::Normal {
             ProcessId::P0
-        } else if self.config().optimize_ck_req {
+        } else if self.config().optimized_control {
             self.tent_set().first_absent_above(self.id()).unwrap_or(ProcessId::P0)
         } else {
             ProcessId((self.id().0 + 1) % self.n() as u32)
@@ -272,13 +264,12 @@ impl OcptProcess {
         if self.id() == ProcessId::P0 {
             self.start_global_wave(out);
         } else if self.is_group_leader() {
-            if self.config().optimize_ck_bgn {
+            if self.config().optimized_control {
                 let g = self.group_of(self.id());
                 for g2 in 0..g {
                     if self.tent_set().contains(self.leader_of(g2)) {
                         // That leader (or a smaller one) will alarm P_0.
                         self.stats_mut().inc("ctrl.bgn_suppressed");
-                        self.maybe_rearm(out);
                         return;
                     }
                 }
@@ -287,19 +278,17 @@ impl OcptProcess {
             send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
         } else {
             let leader = self.leader_of(self.group_of(self.id()));
-            if self.config().optimize_ck_bgn
+            if self.config().optimized_control
                 && self.tent_set().min_in(leader.0, self.id().0).is_some()
             {
                 // A smaller-id tentative member of this group (possibly
                 // the leader itself) will raise the alarm.
                 self.stats_mut().inc("ctrl.bgn_suppressed");
-                self.maybe_rearm(out);
                 return;
             }
             self.stats_mut().inc("ctrl.bgn_sent");
             send_ctrl(out, leader, CtrlMsg { kind: CtrlKind::CkBgn, csn });
         }
-        self.maybe_rearm(out);
     }
 
     /// The hierarchical counterpart of the Fig. 4 receive handler. The
@@ -422,7 +411,7 @@ impl OcptProcess {
         let g = self.group_of(self.id());
         let leader = self.leader_of(g);
         let end = self.group_end(g);
-        let dst = if self.config().optimize_ck_req {
+        let dst = if self.config().optimized_control {
             self.tent_set().first_absent_in(self.id().0 + 1, end).unwrap_or(leader)
         } else if self.id().0 + 1 < end {
             ProcessId(self.id().0 + 1)
@@ -758,7 +747,7 @@ mod tests {
 
     #[test]
     fn p0_finalize_broadcasts_ck_end_by_default() {
-        // Default config: p0_broadcast_on_finalize = true. P0 finalizing
+        // Default config: optimized_control = true. P0 finalizing
         // via app traffic still broadcasts CK_END.
         let mut q = proc(0, 2);
         let mut out = Vec::new();

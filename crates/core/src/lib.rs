@@ -74,5 +74,5 @@ pub use snapshot::AppSnapshot;
 pub use strategy::{LogDecision, LogWindow, LoggingKind, LoggingStrategy, ReplayPlan};
 pub use types::{Csn, Status, TentSet};
 pub use wire::{
-    decode_envelope, encode_envelope, AppPayload, CtrlKind, CtrlMsg, Envelope, Framed, WireError,
+    decode_envelope, encode_envelope, AppPayload, CtrlKind, CtrlMsg, Envelope, WireError,
 };

@@ -198,6 +198,10 @@ impl CheckpointProtocol for OcptProcess {
         }
     }
 
+    fn logs_after_complete(&self) -> bool {
+        true
+    }
+
     fn restore_from_line(&mut self, line: u64) -> Result<(), String> {
         self.restore(line);
         Ok(())

@@ -520,7 +520,7 @@ impl OcptProcess {
         // leader relays to its members — the "leaders exchange CK_END
         // summaries" link that keeps suppressed members from starving.
         if self.cfg.control_messages
-            && self.cfg.p0_broadcast_on_finalize
+            && self.cfg.optimized_control
             && (self.id == ProcessId::P0
                 || (self.hier_group_size.is_some() && self.is_group_leader()))
         {

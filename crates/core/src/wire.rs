@@ -271,19 +271,6 @@ fn decode_sparse_clock(buf: &mut Bytes, n: usize) -> Result<VClock, WireError> {
     Ok(clock)
 }
 
-/// Convenience: the sending process of an envelope isn't part of the
-/// envelope itself; transports carry `(src, dst, Envelope)`. This struct is
-/// the framed triple used by the threaded runtime.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Framed {
-    /// Sender.
-    pub src: ProcessId,
-    /// Receiver.
-    pub dst: ProcessId,
-    /// Content.
-    pub env: Envelope,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

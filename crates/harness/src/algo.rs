@@ -54,7 +54,7 @@ impl Algo {
     pub fn name(&self) -> &'static str {
         match self {
             Algo::Ocpt(c) if !c.control_messages => "ocpt-basic",
-            Algo::Ocpt(c) if !c.optimize_ck_bgn => "ocpt-naive",
+            Algo::Ocpt(c) if !c.optimized_control => "ocpt-naive",
             Algo::Ocpt(c) if c.logging != LoggingKind::Selective => match c.logging {
                 LoggingKind::Selective => unreachable!(),
                 LoggingKind::SenderBased => "ocpt-sender",

@@ -6,6 +6,8 @@
 //!
 //! * [`workload`] — synthetic application traffic (topology × pattern ×
 //!   timing × payload);
+//! * [`host`] — one process of a run and the one interpreter of the
+//!   protocol's actions, over a [`host::Backend`] each driver implements;
 //! * [`runner`] — the deterministic driver: one [`runner::Runner`] per
 //!   (algorithm, workload, seed), producing a [`runner::RunResult`] with
 //!   every metric the experiments report;
@@ -26,6 +28,7 @@ pub mod algo;
 pub mod analysis;
 pub mod experiments;
 pub mod grid;
+pub mod host;
 pub mod runner;
 pub mod workload;
 
@@ -35,5 +38,6 @@ pub use analysis::{
     LogRecoveryReport, RollbackReport,
 };
 pub use grid::{ColFmt, GridOptions, GridOutcome, GridRow, RunGrid, TraceSink};
+pub use host::{Backend, Host, Note, Outgoing, Traffic, Write, WriteKind};
 pub use runner::{EventCensus, RoundStat, RunConfig, RunResult, Runner, StorageReport};
 pub use workload::{Pattern, PayloadSpec, Timing, WorkloadSpec, WorkloadState};

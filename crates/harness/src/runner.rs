@@ -2,15 +2,17 @@
 //! deterministic DES kernel, the stable-storage model and a workload,
 //! collecting every metric the experiments report.
 //!
-//! One `Runner` = one run = one (algorithm, workload, seed) triple. The
-//! driver owns everything the protocol must not see: the virtual clock,
-//! the network, application state, the storage server and the omniscient
-//! consistency observer.
+//! One `Runner` = one run = one (algorithm, workload, seed) triple. Each
+//! process is a [`Host`], which interprets the protocol's actions; the
+//! runner's `World` is their [`Backend`] and owns everything the protocol
+//! must not see: the virtual clock, the network, the storage server and
+//! its per-process connections, the workload, faults and recovery, the
+//! trace and the omniscient consistency observer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 use ocpt_causality::GlobalObserver;
-use ocpt_core::{wire_cost, AppSnapshot, CheckpointProtocol, EnvTelemetry, ProtoAction};
+use ocpt_core::{wire_cost, AppPayload, AppSnapshot, CheckpointProtocol, EntryKind, MessageLog};
 use ocpt_metrics::{Counters, Summary};
 use ocpt_sim::{
     Event, FaultPlan, MsgId, Network, ProcessId, Scheduler, SchedulerKind, SimConfig, SimDuration,
@@ -18,6 +20,7 @@ use ocpt_sim::{
 };
 use ocpt_storage::{CheckpointStore, StorageConfig, StorageServer, StoredCheckpoint};
 
+use crate::host::{Backend, Host, Note, Outgoing, Traffic, Write, WriteKind};
 use crate::workload::{WorkloadSpec, WorkloadState};
 
 /// Storage wakeups serve the shared server, but every event needs a
@@ -103,49 +106,11 @@ impl RunConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WriteKind {
-    State,
-    Extra,
-}
-
 /// Run-loop control flow returned by event dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Flow {
     Continue,
     Break,
-}
-
-#[derive(Debug)]
-struct PendingWrite {
-    pid: ProcessId,
-    seq: u64,
-    kind: WriteKind,
-    blob: bytes::Bytes,
-    bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct CkptProgress {
-    snapshot: Option<AppSnapshot>,
-    state_issued: bool,
-    state_durable: bool,
-    extra_issued: bool,
-    extra_durable: bool,
-    completed: bool,
-    durable_recorded: bool,
-    storage_done_notified: bool,
-    state_blob: Option<bytes::Bytes>,
-    log_blob: Option<bytes::Bytes>,
-}
-
-impl CkptProgress {
-    fn writes_durable(&self) -> bool {
-        (!self.state_issued || self.state_durable) && (!self.extra_issued || self.extra_durable)
-    }
-    fn fully_durable(&self) -> bool {
-        self.completed && self.state_issued && self.writes_durable()
-    }
 }
 
 /// Storage-side results of a run.
@@ -424,19 +389,19 @@ impl RunResult {
     }
 }
 
-/// The driver.
+/// The driver: one [`Host`] per process over one simulated `World`.
 pub struct Runner<P: CheckpointProtocol> {
+    hosts: Vec<Host<P>>,
+    world: World<P::Env>,
+}
+
+/// Everything the protocol must not see — the virtual clock, the network,
+/// the storage server, the observer, the trace, the workload and the
+/// faults — and the simulator's side of the [`Backend`] boundary.
+struct World<Env> {
     cfg: RunConfig,
-    procs: Vec<P>,
-    app: Vec<AppSnapshot>,
-    /// App state before each process's most recent event (for cuts that
-    /// step one event back).
-    prev_app: Vec<AppSnapshot>,
-    /// App state at each checkpoint's consistency cut — the ground truth
-    /// the recovery tests compare restored states against.
-    cut_states: BTreeMap<(u32, u64), AppSnapshot>,
     crashed: Vec<bool>,
-    sched: Scheduler<P::Env>,
+    sched: Scheduler<Env>,
     net: Network,
     server: StorageServer,
     /// Instant of the one live storage wakeup in the event queue, if any.
@@ -454,16 +419,14 @@ pub struct Runner<P: CheckpointProtocol> {
     wl_rng: Vec<SimRng>,
     next_msg: u64,
     next_req: u64,
-    timers: Vec<HashMap<u64, TimerId>>,
-    pending_writes: HashMap<StorageReqId, PendingWrite>,
+    /// Armed protocol timers per process, by tag.
+    timers: Vec<BTreeMap<u64, TimerId>>,
+    /// Writes at the server, by request.
+    pending_writes: BTreeMap<StorageReqId, Write>,
     /// Each process writes over one connection: at most one of its
     /// requests is at the server; the rest wait here in FIFO order.
-    write_queue: Vec<std::collections::VecDeque<PendingWrite>>,
+    write_queue: Vec<VecDeque<Write>>,
     write_busy: Vec<bool>,
-    /// Per-checkpoint write progress. Iterated (`retain`) during recovery
-    /// rollback, so ordered — `timers`/`pending_writes` above stay hashed
-    /// because they are only ever point-accessed by key.
-    progress: BTreeMap<(u32, u64), CkptProgress>,
     counters: Counters,
     blocked_since: Vec<Option<SimTime>>,
     blocked_time: SimDuration,
@@ -482,12 +445,7 @@ pub struct Runner<P: CheckpointProtocol> {
     ctrl_bytes: u64,
     crash: Option<(ProcessId, SimTime)>,
     protocol_error: Option<String>,
-    algo: &'static str,
     census: EventCensus,
-    /// Reusable action buffer: every protocol callback fills it and
-    /// `execute` drains it, so the dispatch loop allocates nothing at
-    /// steady state (callbacks never nest — actions only schedule).
-    scratch: Vec<ProtoAction<P::Env>>,
 }
 
 impl<P: CheckpointProtocol> Runner<P> {
@@ -497,18 +455,10 @@ impl<P: CheckpointProtocol> Runner<P> {
         cfg.faults.validate(cfg.sim.n).expect("invalid fault plan");
         let n = cfg.sim.n;
         let seed = cfg.sim.seed;
-        let procs: Vec<P> = ProcessId::all(n).map(|p| make(p, n, seed)).collect();
-        let fifo_needed = procs.iter().any(|p| p.needs_fifo());
-        let fifo = cfg.sim.fifo || fifo_needed;
-        let algo = procs[0].name();
-        Runner {
-            app: ProcessId::all(n)
-                .map(|p| AppSnapshot::initial(p.0 as u64, cfg.state_bytes))
-                .collect(),
-            prev_app: ProcessId::all(n)
-                .map(|p| AppSnapshot::initial(p.0 as u64, cfg.state_bytes))
-                .collect(),
-            cut_states: BTreeMap::new(),
+        let hosts: Vec<Host<P>> =
+            ProcessId::all(n).map(|p| Host::new(p, make(p, n, seed), cfg.state_bytes)).collect();
+        let fifo = cfg.sim.fifo || hosts.iter().any(|h| h.protocol().needs_fifo());
+        let world = World {
             crashed: vec![false; n],
             sched: Scheduler::with_kind(cfg.scheduler),
             net: Network::new(n, cfg.sim.delay, fifo, seed),
@@ -522,11 +472,10 @@ impl<P: CheckpointProtocol> Runner<P> {
             wl_rng: (0..n).map(|i| SimRng::derive(seed, 0x574C ^ (i as u64) << 8)).collect(),
             next_msg: 0,
             next_req: 0,
-            timers: vec![HashMap::new(); n],
-            pending_writes: HashMap::new(),
-            write_queue: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+            timers: vec![BTreeMap::new(); n],
+            pending_writes: BTreeMap::new(),
+            write_queue: (0..n).map(|_| VecDeque::new()).collect(),
             write_busy: vec![false; n],
-            progress: BTreeMap::new(),
             counters: Counters::new(),
             blocked_since: vec![None; n],
             blocked_time: SimDuration::ZERO,
@@ -542,51 +491,46 @@ impl<P: CheckpointProtocol> Runner<P> {
             ctrl_bytes: 0,
             crash: None,
             protocol_error: None,
-            procs,
-            cfg,
-            algo,
             census: EventCensus::default(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn capture_delay(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.cfg.state_bytes as f64 / CAPTURE_BW_BPS)
+            cfg,
+        };
+        Runner { hosts, world }
     }
 
     /// Execute the whole run.
     pub fn run(mut self) -> RunResult {
         // simlint: allow(wall-clock, "wall-clock self-measurement of the runner; never feeds simulation state")
         let wall_start = std::time::Instant::now();
-        let n = self.cfg.sim.n;
+        let w = &mut self.world;
+        let n = w.cfg.sim.n;
         // Faults.
-        for f in self.cfg.faults.faults() {
-            self.sched.schedule_at(f.at, Event::Crash { pid: f.pid });
+        for f in w.cfg.faults.faults() {
+            w.sched.schedule_at(f.at, Event::Crash { pid: f.pid });
             if let Some(d) = f.down_for {
-                self.sched.schedule_at(f.at + d, Event::Recover { pid: f.pid });
+                w.sched.schedule_at(f.at + d, Event::Recover { pid: f.pid });
             }
         }
         // First workload sends.
         for pid in ProcessId::all(n) {
-            let gap = self.wl[pid.index()].next_gap(&mut self.wl_rng[pid.index()]);
-            self.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
+            let gap = w.wl[pid.index()].next_gap(&mut w.wl_rng[pid.index()]);
+            w.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
         }
         // Checkpoint initiations.
-        if self.cfg.checkpoint_interval != SimDuration::MAX {
+        if w.cfg.checkpoint_interval != SimDuration::MAX {
             for pid in ProcessId::all(n) {
-                let phase = if self.cfg.stagger_initiation {
-                    self.cfg.checkpoint_interval * pid.0 as u64 / n as u64
+                let phase = if w.cfg.stagger_initiation {
+                    w.cfg.checkpoint_interval * pid.0 as u64 / n as u64
                 } else {
                     SimDuration::ZERO
                 };
-                self.sched.schedule_after(
-                    self.cfg.checkpoint_interval + phase,
+                w.sched.schedule_after(
+                    w.cfg.checkpoint_interval + phase,
                     Event::Tick { pid, kind: TICK_CKPT },
                 );
             }
         }
 
-        let hard_stop = SimTime::ZERO + self.cfg.sim.horizon;
+        let hard_stop = SimTime::ZERO + w.cfg.sim.horizon;
         // Batched delivery windows: every pop opens a `(now, target)`
         // window, and `pop_matching` drains every further event of the
         // same instant and process as one batch — one trip through the
@@ -595,12 +539,12 @@ impl<P: CheckpointProtocol> Runner<P> {
         // with it every trace byte) is untouched. Faults dispatch alone:
         // they mutate `crashed`/purge the queue, which must not happen
         // mid-window.
-        'run: while let Some((now, ev)) = self.sched.pop() {
+        'run: while let Some((now, ev)) = self.world.sched.pop() {
             if now > hard_stop {
-                self.counters.inc("run.hit_horizon");
+                self.world.counters.inc("run.hit_horizon");
                 break;
             }
-            if self.protocol_error.is_some() {
+            if self.world.protocol_error.is_some() {
                 break;
             }
             let window = (!ev.is_fault()).then(|| ev.target());
@@ -608,8 +552,8 @@ impl<P: CheckpointProtocol> Runner<P> {
                 break;
             }
             if let Some(pid) = window {
-                while self.protocol_error.is_none() {
-                    let Some(ev) = self.sched.pop_matching(now, pid) else {
+                while self.world.protocol_error.is_none() {
+                    let Some(ev) = self.world.sched.pop_matching(now, pid) else {
                         break;
                     };
                     if self.dispatch(now, ev) == Flow::Break {
@@ -624,45 +568,48 @@ impl<P: CheckpointProtocol> Runner<P> {
     /// Dispatch one popped event. Returns [`Flow::Break`] when the run
     /// loop must stop (crash with `stop_on_crash`, failed recovery).
     fn dispatch(&mut self, now: SimTime, ev: Event<P::Env>) -> Flow {
-        self.census.count(&ev);
+        let w = &mut self.world;
+        w.census.count(&ev);
         match ev {
             Event::Tick { pid, kind: TICK_SEND } => self.on_send_tick(now, pid),
             Event::Tick { pid, kind: TICK_CKPT } => self.on_ckpt_tick(now, pid),
             Event::Tick { .. } => unreachable!("unknown tick"),
-            Event::Deliver { src, dst, msg_id, msg } => self.on_deliver(now, src, dst, msg_id, msg),
-            Event::Timer { pid, tag, .. } => {
-                if self.crashed[pid.index()] {
-                    return Flow::Continue;
+            Event::Deliver { src, dst, msg_id, msg } => {
+                if w.crashed[dst.index()] {
+                    w.counters.inc("net.dropped_to_crashed");
+                } else if let Err(e) = self.hosts[dst.index()].deliver(w, now, src, msg_id, msg) {
+                    w.protocol_error = Some(e);
                 }
-                self.timers[pid.index()].remove(&tag);
-                let mut out = std::mem::take(&mut self.scratch);
-                self.procs[pid.index()].on_timer(tag, &mut out);
-                self.execute(now, pid, &mut out);
-                self.scratch = out;
+            }
+            Event::Timer { pid, tag, .. } => {
+                if !w.crashed[pid.index()] {
+                    w.timers[pid.index()].remove(&tag);
+                    self.hosts[pid.index()].fire_timer(w, now, tag);
+                }
             }
             Event::StorageDone { .. } => self.pump_storage(now),
             Event::Crash { pid } => {
-                self.counters.inc("fault.crashes");
-                self.crashed[pid.index()] = true;
-                self.crash.get_or_insert((pid, now));
-                self.trace.record(now, pid, TraceKind::Crash, "fail-stop");
+                w.counters.inc("fault.crashes");
+                w.crashed[pid.index()] = true;
+                w.crash.get_or_insert((pid, now));
+                w.trace.record(now, pid, TraceKind::Crash, "fail-stop");
                 // Volatile state (unfinalized tentative checkpoints and
                 // in-memory logs) is lost.
-                self.sched.drop_events_for(pid);
+                w.sched.drop_events_for(pid);
                 if pid == WAKEUP_ADDRESSEE {
                     // The purge took the shared server's wakeup with it.
-                    self.wakeup_at = None;
-                    self.arm_storage_wakeup(now);
+                    w.wakeup_at = None;
+                    w.arm_storage_wakeup(now);
                 }
-                if self.cfg.stop_on_crash {
+                if w.cfg.stop_on_crash {
                     return Flow::Break;
                 }
             }
             Event::Recover { pid } => {
-                self.counters.inc("fault.recover_events");
-                self.trace.record(now, pid, TraceKind::Recover, "system rollback");
+                w.counters.inc("fault.recover_events");
+                w.trace.record(now, pid, TraceKind::Recover, "system rollback");
                 if let Err(e) = self.perform_system_recovery(now, pid) {
-                    self.protocol_error = Some(e);
+                    self.world.protocol_error = Some(e);
                     return Flow::Break;
                 }
             }
@@ -671,149 +618,53 @@ impl<P: CheckpointProtocol> Runner<P> {
     }
 
     fn on_send_tick(&mut self, now: SimTime, pid: ProcessId) {
-        if self.crashed[pid.index()] {
+        let (w, i) = (&mut self.world, pid.index());
+        if w.crashed[i] || now >= SimTime::ZERO + w.cfg.workload_duration {
             return;
         }
-        let workload_end = SimTime::ZERO + self.cfg.workload_duration;
-        if now >= workload_end {
-            return;
-        }
-        if !self.procs[pid.index()].can_send_app() {
+        let host = &mut self.hosts[i];
+        if !host.protocol().can_send_app() {
             // Blocked by the protocol (Koo–Toueg phase 1): retry shortly
             // and account the delay.
-            if self.blocked_since[pid.index()].is_none() {
-                self.blocked_since[pid.index()] = Some(now);
+            if w.blocked_since[i].is_none() {
+                w.blocked_since[i] = Some(now);
             }
-            self.counters.inc("app.send_deferred");
-            self.sched.schedule_after(
+            w.counters.inc("app.send_deferred");
+            w.sched.schedule_after(
                 SimDuration::from_micros(200),
                 Event::Tick { pid, kind: TICK_SEND },
             );
             return;
         }
-        if let Some(t0) = self.blocked_since[pid.index()].take() {
-            self.blocked_time += now - t0;
+        if let Some(t0) = w.blocked_since[i].take() {
+            w.blocked_time += now - t0;
         }
-        let n = self.cfg.sim.n;
-        let rng = &mut self.wl_rng[pid.index()];
-        let Some(dst) = self.wl[pid.index()].next_dst(n, pid, rng) else {
+        let rng = &mut w.wl_rng[i];
+        let Some(dst) = w.wl[i].next_dst(w.cfg.sim.n, pid, rng) else {
             return;
         };
-        let len = self.wl[pid.index()].next_payload_len(rng);
-        let msg_id = MsgId(self.next_msg);
-        self.next_msg += 1;
-        let payload = ocpt_core::AppPayload { id: msg_id.0, len };
-        let mut out = std::mem::take(&mut self.scratch);
-        let env = self.procs[pid.index()].wrap_app(dst, msg_id, payload, &mut out);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_send(pid, msg_id);
-        }
-        self.prev_app[pid.index()] = self.app[pid.index()];
-        self.app[pid.index()].apply_send(payload);
-        let bytes = self.procs[pid.index()].env_wire_bytes(&env);
-        self.app_payload_bytes += len as u64;
-        self.piggyback_bytes += bytes - wire_cost::app(len, 0);
-        self.counters.inc("app.messages");
-        let at = self.net.send(now, pid, dst, bytes);
-        if self.trace.is_enabled() {
-            let tel = self.procs[pid.index()].env_telemetry(&env);
-            self.trace.record_coded(
-                now,
-                pid,
-                TraceKind::AppSend,
-                TraceKind::AppSend.default_code(),
-                tel.seq,
-                format!("M{} -> {dst}", msg_id.0),
-            );
-        }
-        self.sched.schedule_at(at, Event::Deliver { src: pid, dst, msg_id, msg: env });
-        self.execute(now, pid, &mut out);
-        self.scratch = out;
+        let len = w.wl[i].next_payload_len(rng);
+        let id = MsgId(w.next_msg);
+        w.next_msg += 1;
+        host.send_app(w, now, dst, id, AppPayload { id: id.0, len });
         // Draw the next send.
-        let gap = self.wl[pid.index()].next_gap(&mut self.wl_rng[pid.index()]);
-        self.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
+        let gap = w.wl[i].next_gap(&mut w.wl_rng[i]);
+        w.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
     }
 
     fn on_ckpt_tick(&mut self, now: SimTime, pid: ProcessId) {
-        if self.crashed[pid.index()] {
+        let w = &mut self.world;
+        if w.crashed[pid.index()] {
             return;
         }
         // Initiate only while at least one more interval of application
         // traffic remains, so no round is forced to converge in silence
         // (the convergence-in-silence behaviour has dedicated tests).
-        let workload_end = SimTime::ZERO + self.cfg.workload_duration;
-        if now + self.cfg.checkpoint_interval <= workload_end {
-            let mut out = std::mem::take(&mut self.scratch);
-            self.procs[pid.index()].initiate(&mut out);
-            self.execute(now, pid, &mut out);
-            self.scratch = out;
-            self.sched
-                .schedule_after(self.cfg.checkpoint_interval, Event::Tick { pid, kind: TICK_CKPT });
+        let workload_end = SimTime::ZERO + w.cfg.workload_duration;
+        if now + w.cfg.checkpoint_interval <= workload_end {
+            self.hosts[pid.index()].initiate(w, now);
+            w.sched.schedule_after(w.cfg.checkpoint_interval, Event::Tick { pid, kind: TICK_CKPT });
         }
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        src: ProcessId,
-        dst: ProcessId,
-        msg_id: MsgId,
-        env: P::Env,
-    ) {
-        if self.crashed[dst.index()] {
-            self.counters.inc("net.dropped_to_crashed");
-            return;
-        }
-        let tel = if self.trace.is_enabled() {
-            self.procs[dst.index()].env_telemetry(&env)
-        } else {
-            EnvTelemetry::default()
-        };
-        let mut out = std::mem::take(&mut self.scratch);
-        let res = self.procs[dst.index()].on_arrival(src, msg_id, env, &mut out);
-        let delivered = match res {
-            Ok(d) => d,
-            Err(e) => {
-                self.protocol_error = Some(e);
-                out.clear();
-                self.scratch = out;
-                return;
-            }
-        };
-        self.execute(now, dst, &mut out);
-        if let Some(payload) = delivered {
-            if let Some(obs) = self.observer.as_mut() {
-                obs.on_recv(dst, msg_id);
-            }
-            self.prev_app[dst.index()] = self.app[dst.index()];
-            self.app[dst.index()].apply_recv(payload);
-            self.counters.inc("app.delivered");
-            self.trace.record_coded_with(
-                now,
-                dst,
-                TraceKind::AppRecv,
-                TraceKind::AppRecv.default_code(),
-                tel.seq,
-                || format!("M{} <- {src}", msg_id.0),
-            );
-            if let Err(e) = self.procs[dst.index()].after_delivery(src, msg_id, payload, &mut out) {
-                self.protocol_error = Some(e);
-                out.clear();
-                self.scratch = out;
-                return;
-            }
-            self.execute(now, dst, &mut out);
-        } else {
-            self.trace.record_coded_with(
-                now,
-                dst,
-                TraceKind::CtrlRecv,
-                tel.code.unwrap_or(TraceKind::CtrlRecv.default_code()),
-                tel.seq,
-                || format!("from {src}"),
-            );
-        }
-        self.scratch = out;
     }
 
     /// Full-system rollback recovery: every process restores the state of
@@ -828,158 +679,69 @@ impl<P: CheckpointProtocol> Runner<P> {
         now: SimTime,
         recovered: ProcessId,
     ) -> Result<(), String> {
-        let n = self.cfg.sim.n;
-        let line = self.store.recovery_line();
-        self.trace.note(now, recovered, "recovery.line", format!("S_{line}"));
-        self.counters.inc("recovery.performed");
-        self.crashed[recovered.index()] = false;
+        let w = &mut self.world;
+        let n = w.cfg.sim.n;
+        let line = w.store.recovery_line();
+        w.trace.note(now, recovered, "recovery.line", format!("S_{line}"));
+        w.counters.inc("recovery.performed");
+        w.crashed[recovered.index()] = false;
 
-        // Protocol support check first: algorithms without live recovery
-        // fail fast here, before any state is touched.
-        for pid in ProcessId::all(n) {
-            self.procs[pid.index()].restore_from_line(line)?;
-        }
-
-        // The observer's pre-crash record is consumed here (to find the
-        // in-transit messages), then replaced with a fresh epoch: events
-        // beyond the rollback line are erased from history.
-        let resend: Vec<(ProcessId, ProcessId, ocpt_core::AppPayload)> = if line > 0 {
-            if let Some(obs) = self.observer.as_ref() {
-                let report = obs.judge(line).ok_or("recovery line not judged")?;
-                if !report.is_consistent() {
-                    return Err(format!("recovery line S_{line} inconsistent?!"));
-                }
-                let mut v = Vec::new();
-                for pid in ProcessId::all(n) {
-                    let ckpt = self
-                        .store
+        // Every process rolls back first: a protocol without live
+        // recovery fails here, before the world is touched.
+        let mut lost_events = 0u64;
+        for (pid, host) in ProcessId::all(n).zip(&mut self.hosts) {
+            let durable = match line {
+                0 => None,
+                _ => Some(
+                    w.store
                         .get(pid, line)
-                        .ok_or_else(|| format!("{pid}: no durable checkpoint {line}"))?;
-                    let log = if ckpt.log.is_empty() {
-                        ocpt_core::MessageLog::new()
-                    } else {
-                        ocpt_core::MessageLog::decode(ckpt.log.clone())
-                            .ok_or("corrupt durable log")?
-                    };
-                    for e in log.sent() {
-                        // `in_transit` is sorted by message id.
-                        let crosses_line = report
-                            .in_transit
-                            .binary_search_by_key(&e.msg_id.0, |t| t.msg.0)
-                            .is_ok();
-                        if !crosses_line {
-                            continue;
-                        }
-                        // Only payload-carrying entries can regenerate the
-                        // message. A determinant-only sender log (the
-                        // receiver-based strategy) knows the send happened
-                        // but has no bytes to re-inject — that in-transit
-                        // message is lost, which is exactly what E10's
-                        // `lost_in_transit` column counts.
-                        if e.kind == ocpt_core::EntryKind::Payload {
-                            v.push((pid, e.peer, e.payload));
-                        } else {
-                            self.counters.inc("recovery.resend_unavailable");
-                            self.trace.record_coded(
-                                now,
-                                pid,
-                                TraceKind::AppSend,
-                                "recovery.resend_unavailable",
-                                None,
-                                format!("M{}", e.payload.id),
-                            );
-                        }
-                    }
-                }
-                v.sort_by_key(|(src, dst, p)| (src.0, dst.0, p.id));
-                v
-            } else {
-                Vec::new()
-            }
-        } else {
-            Vec::new()
-        };
+                        .ok_or_else(|| format!("{pid}: no durable checkpoint {line}"))?,
+                ),
+            };
+            lost_events += host.restore(line, durable)?;
+        }
+        let resend = if line > 0 { w.in_transit_resends(now, line)? } else { Vec::new() };
 
         // Flush channels, timers and ticks; keep only future faults.
-        self.sched.clear_except_faults();
-        self.wakeup_at = None;
-        for t in &mut self.timers {
+        w.sched.clear_except_faults();
+        w.wakeup_at = None;
+        for t in &mut w.timers {
             t.clear();
         }
         // Obsolete in-flight storage work and post-line durable records.
         // Nobody waits on the forgotten writes, so the purged wakeup is
         // not replaced here: the next submit arms a fresh one.
-        self.pending_writes.clear();
-        for q in &mut self.write_queue {
+        w.pending_writes.clear();
+        for q in &mut w.write_queue {
             q.clear();
         }
-        self.write_busy.iter_mut().for_each(|b| *b = false);
-        let dropped = self.store.truncate_above(line);
-        self.counters.add("recovery.checkpoints_invalidated", dropped as u64);
-        self.progress.retain(|&(_, seq), _| seq <= line);
-        self.cut_states.retain(|&(_, seq), _| seq <= line);
-        self.first_snapshot_at.retain(|&seq, _| seq <= line);
-        self.last_complete_at.retain(|&seq, _| seq <= line);
-        self.complete_count.retain(|&seq, _| seq <= line);
-        self.staged_now = 0;
-
-        // Restore every process's application state.
-        let mut lost_events = 0u64;
-        for pid in ProcessId::all(n) {
-            let restored = if line > 0 {
-                let ckpt = self.store.get(pid, line).expect("checked above");
-                let plan = ocpt_core::plan_recovery(line, ckpt.state.clone(), ckpt.log.clone())
-                    .map_err(|e| format!("{pid}: {e}"))?;
-                plan.restored
-            } else {
-                AppSnapshot::initial(pid.0 as u64, self.cfg.state_bytes)
-            };
-            lost_events +=
-                self.app[pid.index()].counter - restored.counter.min(self.app[pid.index()].counter);
-            self.app[pid.index()] = restored;
-            self.prev_app[pid.index()] = restored;
-            self.crashed[pid.index()] = false;
-        }
-        self.counters.add("recovery.events_lost", lost_events);
+        w.write_busy.fill(false);
+        let dropped = w.store.truncate_above(line);
+        w.counters.add("recovery.checkpoints_invalidated", dropped as u64);
+        w.first_snapshot_at.retain(|&seq, _| seq <= line);
+        w.last_complete_at.retain(|&seq, _| seq <= line);
+        w.complete_count.retain(|&seq, _| seq <= line);
+        w.staged_now = 0;
+        w.crashed.fill(false);
+        w.counters.add("recovery.events_lost", lost_events);
 
         // Fresh observation epoch.
-        if self.observer.is_some() {
-            self.observer = Some(GlobalObserver::new(n));
+        if w.observer.is_some() {
+            w.observer = Some(GlobalObserver::new(n));
         }
 
-        // Re-inject in-transit messages from the durable sender logs: the
-        // send is already part of the restored sender state, so only the
-        // network and the receiver see the message again.
+        // Re-inject in-transit messages from the durable sender logs.
         for (src, dst, payload) in resend {
-            let Some(env) = self.procs[src.index()].replay_envelope(payload) else {
-                continue;
-            };
-            let msg_id = MsgId(self.next_msg);
-            self.next_msg += 1;
-            if let Some(obs) = self.observer.as_mut() {
-                obs.on_send(src, msg_id);
-            }
-            let bytes = self.procs[src.index()].env_wire_bytes(&env);
-            let at = self.net.send(now, src, dst, bytes);
-            self.sched.schedule_at(at, Event::Deliver { src, dst, msg_id, msg: env });
-            self.counters.inc("recovery.resent_msgs");
-            self.trace.record_coded(
-                now,
-                src,
-                TraceKind::AppSend,
-                "recovery.resend",
-                None,
-                format!("M{}", payload.id),
-            );
+            self.hosts[src.index()].resend(w, now, dst, payload);
         }
 
         // Resume: workload ticks and checkpoint ticks for everyone.
         for pid in ProcessId::all(n) {
-            let gap = self.wl[pid.index()].next_gap(&mut self.wl_rng[pid.index()]);
-            self.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
-            if self.cfg.checkpoint_interval != SimDuration::MAX {
-                self.sched.schedule_after(
-                    self.cfg.checkpoint_interval,
+            let gap = w.wl[pid.index()].next_gap(&mut w.wl_rng[pid.index()]);
+            w.sched.schedule_after(gap, Event::Tick { pid, kind: TICK_SEND });
+            if w.cfg.checkpoint_interval != SimDuration::MAX {
+                w.sched.schedule_after(
+                    w.cfg.checkpoint_interval,
                     Event::Tick { pid, kind: TICK_CKPT },
                 );
             }
@@ -987,130 +749,234 @@ impl<P: CheckpointProtocol> Runner<P> {
         Ok(())
     }
 
+    /// One storage wakeup: hand back what the server finished by `now`,
+    /// then re-arm for the next completion.
+    fn pump_storage(&mut self, now: SimTime) {
+        // A wakeup superseded by an earlier one still fires; only the live
+        // one releases the marker.
+        if self.world.wakeup_at == Some(now) {
+            self.world.wakeup_at = None;
+        }
+        self.world.pumping = true;
+        self.hand_back_completions(now);
+        self.world.pumping = false;
+        self.world.arm_storage_wakeup(now);
+    }
+
+    /// Hand every write the server finished by `now` back to its host.
+    ///
+    /// After a rollback the server deliberately keeps serving writes whose
+    /// client forgot them (`pending_writes` was cleared): a real file
+    /// server cannot un-receive a request, and the obsolete work keeps
+    /// contending for bandwidth with the re-executed future. Their
+    /// completions have no one to notify and are only counted
+    /// (`storage.orphan_completions`).
+    ///
+    /// Every completion is recorded at its own instant before any of them
+    /// is handed back: a hand-back may start the client's queued write at
+    /// `now`, later than the next completion's instant.
+    fn hand_back_completions(&mut self, now: SimTime) {
+        let w = &mut self.world;
+        w.server.advance(now);
+        let completions = w.server.take_completed();
+        for c in &completions {
+            if let Some(write) = w.pending_writes.get(&c.req) {
+                w.trace.record_seq_with(c.at, write.pid, TraceKind::StorageDone, write.seq, || {
+                    format!("{:?} {}B", write.kind, write.bytes)
+                });
+            }
+        }
+        for c in completions {
+            let Some(write) = w.pending_writes.remove(&c.req) else {
+                w.counters.inc("storage.orphan_completions");
+                continue;
+            };
+            w.staged_now = w.staged_now.saturating_sub(write.bytes);
+            let i = write.pid.index();
+            self.hosts[i].write_done(w, now, write);
+            // Free the connection and start the next queued write.
+            w.write_busy[i] = false;
+            if let Some(next) = w.write_queue[i].pop_front() {
+                w.start_write(now, next);
+            }
+        }
+    }
+
+    // simlint: allow(wall-clock, "carries the runner's own wall-clock start; never feeds simulation state")
+    fn finish(mut self, wall_start: std::time::Instant) -> RunResult {
+        // Let any still-active storage writes complete "after the end" so
+        // durability accounting is complete.
+        self.world.pumping = true; // no more wakeups: the queue is not read again
+        while self.world.server.in_flight() > 0 {
+            let t = self.world.server.next_completion().expect("in-flight implies completion");
+            self.hand_back_completions(t + SimDuration::from_nanos(1));
+        }
+        let Runner { hosts, world: w } = self;
+        let makespan = w.sched.now();
+        let n = w.cfg.sim.n;
+        let sim_events = w.sched.events_dispatched();
+        let peak_pending = w.sched.peak_pending();
+        let arena_hwm = w.sched.arena_stats().hwm;
+        let clamped_events = w.sched.clamped_events();
+        let messages_lost_at_crash = w.sched.messages_lost_at_crash();
+        let mut counters = w.counters;
+        if clamped_events > 0 {
+            counters.add("sched.clamped_events", clamped_events);
+        }
+        if messages_lost_at_crash > 0 {
+            counters.add("sched.messages_lost_at_crash", messages_lost_at_crash);
+        }
+        for h in &hosts {
+            counters.merge(h.protocol().stats());
+        }
+        let mut ckpt_latency = Summary::new();
+        let mut complete_rounds = 0;
+        let mut round_stats = Vec::with_capacity(w.first_snapshot_at.len());
+        for (&seq, first) in &w.first_snapshot_at {
+            round_stats.push(RoundStat {
+                seq,
+                first_snapshot_ns: first.as_nanos(),
+                last_complete_ns: w
+                    .last_complete_at
+                    .get(&seq)
+                    .map_or(first.as_nanos(), |t| t.as_nanos()),
+                completes: w.complete_count.get(&seq).copied().unwrap_or(0),
+            });
+        }
+        for (seq, &cnt) in &w.complete_count {
+            if cnt == n {
+                complete_rounds += 1;
+                if let (Some(a), Some(b)) =
+                    (w.first_snapshot_at.get(seq), w.last_complete_at.get(seq))
+                {
+                    ckpt_latency.record(b.saturating_since(*a).as_secs_f64());
+                }
+            }
+        }
+        let storage = StorageReport {
+            peak_writers: w.server.peak_writers(),
+            mean_writers: w.server.mean_writers(makespan),
+            contended_time: w.server.contended_time(makespan),
+            total_stall: w.server.total_stall(),
+            write_latency_mean: w.server.latency().mean(),
+            write_latency_max: w.server.latency().max(),
+            total_bytes: w.server.total_bytes(),
+            total_requests: w.server.total_requests(),
+        };
+        let cut_states = hosts
+            .iter()
+            .zip(0u32..)
+            .flat_map(|(h, pid)| h.cut_states().iter().map(move |(&seq, &s)| ((pid, seq), s)))
+            .collect();
+        RunResult {
+            algo: hosts[0].protocol().name(),
+            n,
+            seed: w.cfg.sim.seed,
+            scheduler: w.cfg.scheduler,
+            counters,
+            app_messages: w.next_msg - w.ctrl_messages,
+            app_payload_bytes: w.app_payload_bytes,
+            piggyback_bytes: w.piggyback_bytes,
+            ctrl_messages: w.ctrl_messages,
+            ctrl_bytes: w.ctrl_bytes,
+            makespan,
+            blocked_time: w.blocked_time,
+            forced_delay: w.forced_delay,
+            ckpt_latency,
+            round_stats,
+            complete_rounds,
+            recovery_line: w.store.recovery_line(),
+            staging_peak: w.staging_peak,
+            storage,
+            observer: w.observer,
+            store: w.store,
+            app_final: hosts.iter().map(Host::app).collect(),
+            cut_states,
+            trace: w.trace,
+            crash: w.crash,
+            protocol_error: w.protocol_error,
+            sim_events,
+            event_census: w.census,
+            peak_pending,
+            arena_hwm,
+            clamped_events,
+            messages_lost_at_crash,
+            wall_secs: wall_start.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+impl<Env> World<Env> {
     fn stage(&mut self, bytes: u64) {
         self.staged_now += bytes;
         self.staging_peak = self.staging_peak.max(self.staged_now);
     }
 
-    fn unstage(&mut self, bytes: u64) {
-        self.staged_now = self.staged_now.saturating_sub(bytes);
+    /// A fresh message id for traffic the runner names itself (control
+    /// messages and recovery re-sends share the application's counter).
+    fn next_msg_id(&mut self) -> MsgId {
+        self.next_msg += 1;
+        MsgId(self.next_msg - 1)
     }
 
-    /// Apply every queued protocol action, draining (but not freeing)
-    /// the buffer so callers can recycle it through `self.scratch`.
-    fn execute(&mut self, now: SimTime, pid: ProcessId, actions: &mut Vec<ProtoAction<P::Env>>) {
-        for a in actions.drain(..) {
-            match a {
-                ProtoAction::Snapshot { seq } => {
-                    let snap = self.app[pid.index()];
-                    self.progress.entry((pid.0, seq)).or_default().snapshot = Some(snap);
-                    self.stage(self.cfg.state_bytes);
-                    self.counters.inc("ckpt.snapshots");
-                    self.first_snapshot_at.entry(seq).or_insert(now);
-                    self.trace.record_seq_with(now, pid, TraceKind::TentativeCkpt, seq, || {
-                        format!("CT({seq})")
-                    });
+    /// The logged sends that cross the recovery line `S_line`, as
+    /// `(src, dst, payload)` sorted by sender, receiver and id. The
+    /// observer says which messages cross; without it nothing is re-sent.
+    fn in_transit_resends(
+        &mut self,
+        now: SimTime,
+        line: u64,
+    ) -> Result<Vec<(ProcessId, ProcessId, AppPayload)>, String> {
+        let Some(obs) = self.observer.as_ref() else {
+            return Ok(Vec::new());
+        };
+        let report = obs.judge(line).ok_or("recovery line not judged")?;
+        if !report.is_consistent() {
+            return Err(format!("recovery line S_{line} inconsistent?!"));
+        }
+        let mut v = Vec::new();
+        for pid in ProcessId::all(self.cfg.sim.n) {
+            let ckpt = self
+                .store
+                .get(pid, line)
+                .ok_or_else(|| format!("{pid}: no durable checkpoint {line}"))?;
+            let log = if ckpt.log.is_empty() {
+                MessageLog::new()
+            } else {
+                MessageLog::decode(ckpt.log.clone()).ok_or("corrupt durable log")?
+            };
+            for e in log.sent() {
+                // `in_transit` is sorted by message id.
+                let crosses_line =
+                    report.in_transit.binary_search_by_key(&e.msg_id.0, |t| t.msg.0).is_ok();
+                if !crosses_line {
+                    continue;
                 }
-                ProtoAction::MarkCut { seq, back } => {
-                    if let Some(obs) = self.observer.as_mut() {
-                        let pos = obs.positions()[pid.index()] - back as u64;
-                        obs.on_finalize(pid, seq, pos, now);
-                    }
-                    let state =
-                        if back == 0 { self.app[pid.index()] } else { self.prev_app[pid.index()] };
-                    self.cut_states.insert((pid.0, seq), state);
-                }
-                ProtoAction::FlushState { seq } => {
-                    let blob = {
-                        let p = self.progress.entry((pid.0, seq)).or_default();
-                        p.state_issued = true;
-                        p.snapshot.expect("FlushState before Snapshot").encode()
-                    };
-                    self.submit_write(now, pid, seq, WriteKind::State, blob, self.cfg.state_bytes);
-                }
-                ProtoAction::FlushExtra { seq, bytes, log } => {
-                    let blob = log.map(|l| l.encode()).unwrap_or_default();
-                    self.progress.entry((pid.0, seq)).or_default().extra_issued = true;
-                    self.stage(bytes);
-                    self.submit_write(now, pid, seq, WriteKind::Extra, blob, bytes);
-                }
-                ProtoAction::Complete { seq } => {
-                    let newly = {
-                        let p = self.progress.entry((pid.0, seq)).or_default();
-                        let newly = !p.completed;
-                        p.completed = true;
-                        newly
-                    };
-                    if newly {
-                        let t = self.last_complete_at.get(&seq).copied().unwrap_or(now).max(now);
-                        self.last_complete_at.insert(seq, t);
-                        *self.complete_count.entry(seq).or_insert(0) += 1;
-                        self.counters.inc("ckpt.completes");
-                        self.trace.record_seq_with(now, pid, TraceKind::FinalizeCkpt, seq, || {
-                            format!("C({seq})")
-                        });
-                        self.maybe_durable(now, pid, seq);
-                    }
-                }
-                ProtoAction::Send { dst, env } => {
-                    let bytes = self.procs[pid.index()].env_wire_bytes(&env);
-                    self.ctrl_messages += 1;
-                    self.ctrl_bytes += bytes;
-                    let msg_id = MsgId(self.next_msg);
-                    self.next_msg += 1;
-                    let at = self.net.send(now, pid, dst, bytes);
-                    if self.trace.is_enabled() {
-                        let tel = self.procs[pid.index()].env_telemetry(&env);
-                        self.trace.record_coded(
-                            now,
-                            pid,
-                            TraceKind::CtrlSend,
-                            tel.code.unwrap_or(TraceKind::CtrlSend.default_code()),
-                            tel.seq,
-                            format!("-> {dst}"),
-                        );
-                    }
-                    self.sched.schedule_at(at, Event::Deliver { src: pid, dst, msg_id, msg: env });
-                }
-                ProtoAction::SetTimer { tag, delay } => {
-                    let id = self.sched.set_timer(pid, delay, tag);
-                    if let Some(old) = self.timers[pid.index()].insert(tag, id) {
-                        self.sched.cancel_timer(old);
-                    }
-                }
-                ProtoAction::CancelTimer { tag } => {
-                    if let Some(id) = self.timers[pid.index()].remove(&tag) {
-                        self.sched.cancel_timer(id);
-                    }
-                }
-                ProtoAction::ForcedBeforeProcessing { .. } => {
-                    self.counters.inc("ckpt.forced_before_processing");
-                    self.forced_delay += self.capture_delay();
+                // Only payload-carrying entries can regenerate the message.
+                // A determinant-only sender log (the receiver-based
+                // strategy) knows the send happened but has no bytes to
+                // re-inject — that in-transit message is lost, which is
+                // exactly what E10's `lost_in_transit` column counts.
+                if e.kind == EntryKind::Payload {
+                    v.push((pid, e.peer, e.payload));
+                } else {
+                    self.counters.inc("recovery.resend_unavailable");
+                    self.trace.record_coded(
+                        now,
+                        pid,
+                        TraceKind::AppSend,
+                        "recovery.resend_unavailable",
+                        None,
+                        format!("M{}", e.payload.id),
+                    );
                 }
             }
         }
+        v.sort_by_key(|(src, dst, p)| (src.0, dst.0, p.id));
+        Ok(v)
     }
 
-    fn submit_write(
-        &mut self,
-        now: SimTime,
-        pid: ProcessId,
-        seq: u64,
-        kind: WriteKind,
-        blob: bytes::Bytes,
-        bytes: u64,
-    ) {
-        let w = PendingWrite { pid, seq, kind, blob, bytes };
-        if self.write_busy[pid.index()] {
-            // One connection per process: queue behind the in-flight write.
-            self.write_queue[pid.index()].push_back(w);
-            self.counters.inc("storage.writes_queued");
-            return;
-        }
-        self.start_write(now, w);
-    }
-
-    fn start_write(&mut self, now: SimTime, w: PendingWrite) {
+    fn start_write(&mut self, now: SimTime, w: Write) {
         let pid = w.pid;
         self.write_busy[pid.index()] = true;
         let req = StorageReqId(self.next_req);
@@ -1131,85 +997,6 @@ impl<P: CheckpointProtocol> Runner<P> {
         );
         self.pending_writes.insert(req, w);
         self.arm_storage_wakeup(now);
-    }
-
-    /// One storage wakeup: hand back what the server finished by `now`,
-    /// then re-arm for the next completion.
-    fn pump_storage(&mut self, now: SimTime) {
-        // A wakeup superseded by an earlier one still fires; only the live
-        // one releases the marker.
-        if self.wakeup_at == Some(now) {
-            self.wakeup_at = None;
-        }
-        self.pumping = true;
-        self.hand_back_completions(now);
-        self.pumping = false;
-        self.arm_storage_wakeup(now);
-    }
-
-    /// Hand every write the server finished by `now` back to its client.
-    ///
-    /// After a rollback the server deliberately keeps serving writes whose
-    /// client forgot them (`pending_writes` was cleared): a real file
-    /// server cannot un-receive a request, and the obsolete work keeps
-    /// contending for bandwidth with the re-executed future. Their
-    /// completions have no one to notify and are only counted
-    /// (`storage.orphan_completions`).
-    ///
-    /// Every completion is recorded at its own instant before any of them
-    /// is handed back: a hand-back may start the client's queued write at
-    /// `now`, later than the next completion's instant.
-    fn hand_back_completions(&mut self, now: SimTime) {
-        self.server.advance(now);
-        let completions = self.server.take_completed();
-        for c in &completions {
-            if let Some(w) = self.pending_writes.get(&c.req) {
-                self.trace.record_seq_with(c.at, w.pid, TraceKind::StorageDone, w.seq, || {
-                    format!("{:?} {}B", w.kind, w.bytes)
-                });
-            }
-        }
-        for c in completions {
-            let Some(w) = self.pending_writes.remove(&c.req) else {
-                self.counters.inc("storage.orphan_completions");
-                continue;
-            };
-            let released = match w.kind {
-                WriteKind::State => self.cfg.state_bytes,
-                WriteKind::Extra => w.bytes,
-            };
-            self.unstage(released);
-            let notify = {
-                let p = self.progress.entry((w.pid.0, w.seq)).or_default();
-                match w.kind {
-                    WriteKind::State => {
-                        p.state_durable = true;
-                        p.state_blob = Some(w.blob);
-                    }
-                    WriteKind::Extra => {
-                        p.extra_durable = true;
-                        p.log_blob = Some(w.blob);
-                    }
-                }
-                let notify = p.writes_durable() && !p.storage_done_notified;
-                if notify {
-                    p.storage_done_notified = true;
-                }
-                notify
-            };
-            if notify {
-                let mut out = std::mem::take(&mut self.scratch);
-                self.procs[w.pid.index()].on_storage_done(w.seq, &mut out);
-                self.execute(now, w.pid, &mut out);
-                self.scratch = out;
-            }
-            self.maybe_durable(now, w.pid, w.seq);
-            // Free the connection and start the next queued write.
-            self.write_busy[w.pid.index()] = false;
-            if let Some(next) = self.write_queue[w.pid.index()].pop_front() {
-                self.start_write(now, next);
-            }
-        }
     }
 
     /// Make sure a storage wakeup is pending no later than 1 ns past the
@@ -1238,127 +1025,157 @@ impl<P: CheckpointProtocol> Runner<P> {
             Event::StorageDone { pid: WAKEUP_ADDRESSEE, req: StorageReqId(u64::MAX) },
         );
     }
+}
 
-    fn maybe_durable(&mut self, now: SimTime, pid: ProcessId, seq: u64) {
-        let blobs = {
-            let p = self.progress.entry((pid.0, seq)).or_default();
-            if p.fully_durable() && !p.durable_recorded {
-                p.durable_recorded = true;
-                Some((
-                    p.state_blob.clone().unwrap_or_default(),
-                    p.log_blob.clone().unwrap_or_default(),
-                ))
-            } else {
-                None
+impl<Env> Backend<Env> for World<Env> {
+    fn transmit(&mut self, now: SimTime, out: Outgoing<Env>) {
+        let Outgoing { src, dst, env, traffic, bytes, tel } = out;
+        let msg_id = match traffic {
+            Traffic::App(id, payload) => {
+                if let Some(obs) = self.observer.as_mut() {
+                    obs.on_send(src, id);
+                }
+                self.app_payload_bytes += payload.len as u64;
+                self.piggyback_bytes += bytes - wire_cost::app(payload.len, 0);
+                self.counters.inc("app.messages");
+                id
+            }
+            Traffic::Ctrl => {
+                self.ctrl_messages += 1;
+                self.ctrl_bytes += bytes;
+                self.next_msg_id()
+            }
+            Traffic::Resend(_) => {
+                let id = self.next_msg_id();
+                if let Some(obs) = self.observer.as_mut() {
+                    obs.on_send(src, id);
+                }
+                self.counters.inc("recovery.resent_msgs");
+                id
             }
         };
-        if let Some((state, log)) = blobs {
-            self.store.put(StoredCheckpoint { pid, csn: seq, state, log, durable_at: now });
-            self.counters.inc("ckpt.durable");
-            if self.cfg.gc_old_checkpoints {
-                let line = self.store.recovery_line();
-                if line > 0 {
-                    let dropped = self.store.gc_below(line);
-                    self.counters.add("storage.gc_reclaimed", dropped as u64);
+        let at = self.net.send(now, src, dst, bytes);
+        self.sched.schedule_at(at, Event::Deliver { src, dst, msg_id, msg: env });
+        if self.trace.is_enabled() {
+            let (kind, code, seq, detail) = match traffic {
+                Traffic::App(id, _) => (
+                    TraceKind::AppSend,
+                    TraceKind::AppSend.default_code(),
+                    tel.seq,
+                    format!("M{} -> {dst}", id.0),
+                ),
+                Traffic::Ctrl => (
+                    TraceKind::CtrlSend,
+                    tel.code.unwrap_or(TraceKind::CtrlSend.default_code()),
+                    tel.seq,
+                    format!("-> {dst}"),
+                ),
+                Traffic::Resend(p) => {
+                    (TraceKind::AppSend, "recovery.resend", None, format!("M{}", p.id))
                 }
+            };
+            self.trace.record_coded(now, src, kind, code, seq, detail);
+        }
+    }
+
+    fn set_timer(&mut self, pid: ProcessId, tag: u64, delay: SimDuration) {
+        let id = self.sched.set_timer(pid, delay, tag);
+        if let Some(old) = self.timers[pid.index()].insert(tag, id) {
+            self.sched.cancel_timer(old);
+        }
+    }
+
+    fn cancel_timer(&mut self, pid: ProcessId, tag: u64) {
+        if let Some(id) = self.timers[pid.index()].remove(&tag) {
+            self.sched.cancel_timer(id);
+        }
+    }
+
+    fn submit_write(&mut self, now: SimTime, w: Write) {
+        // A state image was staged when its snapshot was taken; auxiliary
+        // data is staged from here until it is written.
+        if w.kind == WriteKind::Extra {
+            self.stage(w.bytes);
+        }
+        if self.write_busy[w.pid.index()] {
+            // One connection per process: queue behind the in-flight write.
+            self.write_queue[w.pid.index()].push_back(w);
+            self.counters.inc("storage.writes_queued");
+            return;
+        }
+        self.start_write(now, w);
+    }
+
+    fn store(&mut self, ckpt: StoredCheckpoint) {
+        self.store.put(ckpt);
+        self.counters.inc("ckpt.durable");
+        if self.cfg.gc_old_checkpoints {
+            let line = self.store.recovery_line();
+            if line > 0 {
+                let dropped = self.store.gc_below(line);
+                self.counters.add("storage.gc_reclaimed", dropped as u64);
             }
         }
     }
 
-    // simlint: allow(wall-clock, "carries the runner's own wall-clock start; never feeds simulation state")
-    fn finish(mut self, wall_start: std::time::Instant) -> RunResult {
-        // Let any still-active storage writes complete "after the end" so
-        // durability accounting is complete.
-        self.pumping = true; // no more wakeups: the queue is not read again
-        while self.server.in_flight() > 0 {
-            let t = self.server.next_completion().expect("in-flight implies completion");
-            self.hand_back_completions(t + SimDuration::from_nanos(1));
-        }
-        let makespan = self.sched.now();
-        let n = self.cfg.sim.n;
-        let sim_events = self.sched.events_dispatched();
-        let peak_pending = self.sched.peak_pending();
-        let arena_hwm = self.sched.arena_stats().hwm;
-        let clamped_events = self.sched.clamped_events();
-        let messages_lost_at_crash = self.sched.messages_lost_at_crash();
-        let mut counters = self.counters;
-        if clamped_events > 0 {
-            counters.add("sched.clamped_events", clamped_events);
-        }
-        if messages_lost_at_crash > 0 {
-            counters.add("sched.messages_lost_at_crash", messages_lost_at_crash);
-        }
-        for p in &self.procs {
-            counters.merge(p.stats());
-        }
-        let mut ckpt_latency = Summary::new();
-        let mut complete_rounds = 0;
-        let mut round_stats = Vec::with_capacity(self.first_snapshot_at.len());
-        for (&seq, first) in &self.first_snapshot_at {
-            round_stats.push(RoundStat {
-                seq,
-                first_snapshot_ns: first.as_nanos(),
-                last_complete_ns: self
-                    .last_complete_at
-                    .get(&seq)
-                    .map_or(first.as_nanos(), |t| t.as_nanos()),
-                completes: self.complete_count.get(&seq).copied().unwrap_or(0),
-            });
-        }
-        for (seq, &cnt) in &self.complete_count {
-            if cnt == n {
-                complete_rounds += 1;
-                if let (Some(a), Some(b)) =
-                    (self.first_snapshot_at.get(seq), self.last_complete_at.get(seq))
-                {
-                    ckpt_latency.record(b.saturating_since(*a).as_secs_f64());
+    fn tracing(&self) -> bool {
+        self.trace.is_enabled()
+    }
+
+    fn note(&mut self, now: SimTime, pid: ProcessId, note: Note) {
+        match note {
+            Note::Snapshot { seq } => {
+                self.stage(self.cfg.state_bytes);
+                self.counters.inc("ckpt.snapshots");
+                self.first_snapshot_at.entry(seq).or_insert(now);
+                self.trace.record_seq_with(now, pid, TraceKind::TentativeCkpt, seq, || {
+                    format!("CT({seq})")
+                });
+            }
+            Note::Cut { seq, back } => {
+                if let Some(obs) = self.observer.as_mut() {
+                    let pos = obs.positions()[pid.index()] - back as u64;
+                    obs.on_finalize(pid, seq, pos, now);
                 }
             }
-        }
-        let storage = StorageReport {
-            peak_writers: self.server.peak_writers(),
-            mean_writers: self.server.mean_writers(makespan),
-            contended_time: self.server.contended_time(makespan),
-            total_stall: self.server.total_stall(),
-            write_latency_mean: self.server.latency().mean(),
-            write_latency_max: self.server.latency().max(),
-            total_bytes: self.server.total_bytes(),
-            total_requests: self.server.total_requests(),
-        };
-        RunResult {
-            algo: self.algo,
-            n,
-            seed: self.cfg.sim.seed,
-            scheduler: self.cfg.scheduler,
-            counters,
-            app_messages: self.next_msg - self.ctrl_messages,
-            app_payload_bytes: self.app_payload_bytes,
-            piggyback_bytes: self.piggyback_bytes,
-            ctrl_messages: self.ctrl_messages,
-            ctrl_bytes: self.ctrl_bytes,
-            makespan,
-            blocked_time: self.blocked_time,
-            forced_delay: self.forced_delay,
-            ckpt_latency,
-            round_stats,
-            complete_rounds,
-            recovery_line: self.store.recovery_line(),
-            staging_peak: self.staging_peak,
-            storage,
-            observer: self.observer,
-            store: self.store,
-            app_final: self.app,
-            cut_states: self.cut_states,
-            trace: self.trace,
-            crash: self.crash,
-            protocol_error: self.protocol_error,
-            sim_events,
-            event_census: self.census,
-            peak_pending,
-            arena_hwm,
-            clamped_events,
-            messages_lost_at_crash,
-            wall_secs: wall_start.elapsed().as_secs_f64(),
+            Note::Complete { seq } => {
+                let t = self.last_complete_at.get(&seq).copied().unwrap_or(now).max(now);
+                self.last_complete_at.insert(seq, t);
+                *self.complete_count.entry(seq).or_insert(0) += 1;
+                self.counters.inc("ckpt.completes");
+                self.trace.record_seq_with(now, pid, TraceKind::FinalizeCkpt, seq, || {
+                    format!("C({seq})")
+                });
+            }
+            Note::Forced => {
+                self.counters.inc("ckpt.forced_before_processing");
+                self.forced_delay +=
+                    SimDuration::from_secs_f64(self.cfg.state_bytes as f64 / CAPTURE_BW_BPS);
+            }
+            Note::AppRecv { src, id, tel } => {
+                if let Some(obs) = self.observer.as_mut() {
+                    obs.on_recv(pid, id);
+                }
+                self.counters.inc("app.delivered");
+                self.trace.record_coded_with(
+                    now,
+                    pid,
+                    TraceKind::AppRecv,
+                    TraceKind::AppRecv.default_code(),
+                    tel.seq,
+                    || format!("M{} <- {src}", id.0),
+                );
+            }
+            Note::CtrlRecv { src, tel } => {
+                self.trace.record_coded_with(
+                    now,
+                    pid,
+                    TraceKind::CtrlRecv,
+                    tel.code.unwrap_or(TraceKind::CtrlRecv.default_code()),
+                    tel.seq,
+                    || format!("from {src}"),
+                );
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Cluster orchestration: spawn N node threads, wire the channel mesh,
-//! inject workload, await finalizations, shut down cleanly.
+//! inject workload, await durable checkpoints, shut down cleanly.
 
 use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -9,17 +9,17 @@ use std::time::{Duration, Instant};
 use ocpt_causality::GlobalObserver;
 use ocpt_core::{Csn, OcptConfig};
 use ocpt_sim::ProcessId;
+use ocpt_storage::CheckpointStore;
 
-use crate::node::{run_node, Command, NodeCtx, NodeInput, StatusEvent};
-use crate::storage::StableStore;
+use crate::node::{Input, Status, Wiring};
 use crate::sync::Mutex;
 
 /// A running cluster of OCPT nodes on OS threads.
 pub struct Cluster {
     n: usize,
-    cmd_tx: Vec<Sender<NodeInput>>,
-    status_rx: Receiver<StatusEvent>,
-    store: Arc<StableStore>,
+    inboxes: Vec<Sender<Input>>,
+    status: Receiver<Status>,
+    store: Arc<Mutex<CheckpointStore>>,
     observer: Arc<Mutex<GlobalObserver>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -49,39 +49,31 @@ impl Cluster {
     pub fn start(n: usize, cfg: OcptConfig) -> Cluster {
         assert!(n >= 2);
         cfg.validate().expect("invalid config");
-        let store = Arc::new(StableStore::new());
+        let store = Arc::new(Mutex::new(CheckpointStore::new(n)));
         let observer = Arc::new(Mutex::new(GlobalObserver::new(n)));
-        let (status_tx, status_rx) = channel();
-        let mut inboxes_tx = Vec::with_capacity(n);
-        let mut inboxes_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            inboxes_tx.push(tx);
-            inboxes_rx.push(rx);
-        }
-        let mut cmd_tx = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (i, inbox) in inboxes_rx.into_iter().enumerate() {
-            // Commands ride the same merged inbox as network bytes.
-            cmd_tx.push(inboxes_tx[i].clone());
-            let ctx = NodeCtx {
-                pid: ProcessId(i as u32),
-                n,
-                cfg,
-                inbox,
-                peers: inboxes_tx.clone(),
-                status: status_tx.clone(),
-                store: store.clone(),
-                observer: observer.clone(),
-            };
-            handles.push(
+        let (status_tx, status) = channel();
+        // Driver commands ride the same merged inbox as network bytes.
+        let (inboxes, rxs): (Vec<Sender<Input>>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let handles = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(i, inbox)| {
+                let wiring = Wiring {
+                    pid: ProcessId(i as u32),
+                    n,
+                    inbox,
+                    peers: inboxes.clone(),
+                    status: status_tx.clone(),
+                    store: store.clone(),
+                    observer: observer.clone(),
+                };
                 std::thread::Builder::new()
                     .name(format!("ocpt-node-{i}"))
-                    .spawn(move || run_node(ctx))
-                    .expect("spawn node"),
-            );
-        }
-        Cluster { n, cmd_tx, status_rx, store, observer, handles }
+                    .spawn(move || wiring.run(cfg))
+                    .expect("spawn node")
+            })
+            .collect();
+        Cluster { n, inboxes, status, store, observer, handles }
     }
 
     /// Number of nodes.
@@ -91,17 +83,15 @@ impl Cluster {
 
     /// Inject an application send.
     pub fn send_app(&self, src: ProcessId, dst: ProcessId, len: u32) {
-        self.cmd_tx[src.index()]
-            .send(NodeInput::Cmd(Command::SendApp { dst, len }))
-            .expect("node alive");
+        self.inboxes[src.index()].send(Input::SendApp { dst, len }).expect("node alive");
     }
 
-    /// Ask a node to take its scheduled checkpoint now.
+    /// Have a node initiate a checkpoint now.
     pub fn checkpoint(&self, pid: ProcessId) {
-        self.cmd_tx[pid.index()].send(NodeInput::Cmd(Command::Checkpoint)).expect("node alive");
+        self.inboxes[pid.index()].send(Input::Checkpoint).expect("node alive");
     }
 
-    /// Block until every node has finalized checkpoint `csn` (or error).
+    /// Block until every node's checkpoint `csn` is durable (or an error).
     pub fn wait_for_round(&self, csn: Csn, timeout: Duration) -> Result<(), ClusterError> {
         let deadline = Instant::now() + timeout;
         let mut done: HashSet<ProcessId> = HashSet::new();
@@ -110,14 +100,12 @@ impl Cluster {
             if left.is_zero() {
                 return Err(ClusterError::Timeout);
             }
-            match self.status_rx.recv_timeout(left) {
-                Ok(StatusEvent::Finalized { pid, csn: c }) if c == csn => {
+            match self.status.recv_timeout(left) {
+                Ok(Status::Durable(pid, c)) if c == csn => {
                     done.insert(pid);
                 }
-                Ok(StatusEvent::Finalized { .. }) | Ok(StatusEvent::Stopped { .. }) => {}
-                Ok(StatusEvent::Error { detail, .. }) => {
-                    return Err(ClusterError::Node(detail));
-                }
+                Ok(Status::Durable(..)) => {}
+                Ok(Status::Error(detail)) => return Err(ClusterError::Node(detail)),
                 Err(_) => return Err(ClusterError::Timeout),
             }
         }
@@ -125,7 +113,7 @@ impl Cluster {
     }
 
     /// The shared stable store.
-    pub fn store(&self) -> &Arc<StableStore> {
+    pub fn store(&self) -> &Arc<Mutex<CheckpointStore>> {
         &self.store
     }
 
@@ -136,8 +124,8 @@ impl Cluster {
 
     /// Stop all nodes and join their threads.
     pub fn shutdown(self) {
-        for tx in &self.cmd_tx {
-            let _ = tx.send(NodeInput::Cmd(Command::Shutdown));
+        for tx in &self.inboxes {
+            let _ = tx.send(Input::Shutdown);
         }
         for h in self.handles {
             let _ = h.join();
@@ -169,11 +157,14 @@ mod tests {
         }
         cluster.checkpoint(ProcessId(0));
         cluster.wait_for_round(1, Duration::from_secs(10)).expect("round 1");
-        assert_eq!(cluster.store().recovery_line(4), 1);
+        let store = cluster.store().lock();
+        assert_eq!(store.recovery_line(), 1);
         for i in 0..4u32 {
-            let d = cluster.store().get(ProcessId(i), 1).expect("durable");
-            ocpt_core::plan_recovery(1, d.state, d.log).expect("blobs decode and replay");
+            let d = store.get(ProcessId(i), 1).expect("durable");
+            ocpt_core::plan_recovery(1, d.state.clone(), d.log.clone())
+                .expect("blobs decode and replay");
         }
+        drop(store);
         assert!(cluster.observer().lock().judge(1).expect("complete").is_consistent());
         cluster.shutdown();
     }

@@ -2,12 +2,15 @@
 //!
 //! The simulator (`ocpt-harness`) proves properties deterministically; this
 //! crate shows the same sans-io state machine is not simulator-bound. Each
-//! process is an OS thread; envelopes travel as encoded bytes over
-//! `std::sync::mpsc` channels (so the `ocpt_core::wire` codec is exercised
-//! for real); the convergence timer is a wall-clock deadline; finalized
-//! checkpoints land in a shared [`StableStore`]; and a mutex-guarded
+//! process is an OS thread driving the simulator's own
+//! [`ocpt_harness::Host`] — the one interpreter of the protocol's actions
+//! and of when a checkpoint is durable — over a thread backend: envelopes
+//! travel as encoded bytes over `std::sync::mpsc` channels (so the
+//! `ocpt_core::wire` codec is exercised for real), timers are wall-clock
+//! deadlines, durable checkpoints land in one mutex-guarded
+//! [`ocpt_storage::CheckpointStore`], and a mutex-guarded
 //! [`ocpt_causality::GlobalObserver`] checks Theorem 2 against genuine
-//! thread interleavings.
+//! thread interleavings. No faults, recovery or trace yet.
 //!
 //! ```no_run
 //! use ocpt_runtime::Cluster;
@@ -26,10 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cluster;
-pub mod node;
-pub mod storage;
+mod node;
 pub mod sync;
 
 pub use cluster::{Cluster, ClusterError};
-pub use node::{Command, NodeInput, StatusEvent};
-pub use storage::{DurableCheckpoint, StableStore};

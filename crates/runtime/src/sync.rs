@@ -27,12 +27,4 @@ impl<T> Mutex<T> {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 }

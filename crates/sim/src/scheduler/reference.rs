@@ -12,8 +12,7 @@
 //! per crash or rollback — which is exactly the cost profile the wheel
 //! replaces with O(1) tombstones.
 
-use std::collections::BinaryHeap;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::event::{Event, Scheduled};
 use crate::id::{ProcessId, TimerId};
@@ -27,7 +26,7 @@ pub struct HeapScheduler<M> {
     next_timer: u64,
     heap: BinaryHeap<Scheduled<M>>,
     /// Timers that have been set and not yet fired or cancelled.
-    live_timers: HashSet<TimerId>,
+    live_timers: BTreeSet<TimerId>,
     /// High-water mark of `heap.len()` over the run.
     peak: u64,
     popped: u64,
@@ -54,7 +53,7 @@ impl<M> HeapScheduler<M> {
             seq: 0,
             next_timer: 0,
             heap: BinaryHeap::new(),
-            live_timers: HashSet::new(),
+            live_timers: BTreeSet::new(),
             peak: 0,
             popped: 0,
             clamped: 0,

@@ -489,11 +489,11 @@ mod tests {
 
     #[test]
     fn comment_text_is_captured_with_lines() {
-        let src = "let x = 1;\n// simlint: allow(unordered-iter, \"why\")\nlet y = 2;";
+        let src = "let x = 1;\n// simlint: allow(hash-container, \"why\")\nlet y = 2;";
         let lx = lex(src);
         assert_eq!(lx.comments.len(), 1);
         assert_eq!(lx.comments[0].line, 2);
-        assert!(lx.comments[0].text.contains("allow(unordered-iter"));
+        assert!(lx.comments[0].text.contains("allow(hash-container"));
     }
 
     #[test]

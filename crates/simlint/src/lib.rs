@@ -9,8 +9,8 @@
 //!
 //! * **D1 `wall-clock`** — no `Instant`/`SystemTime`/`thread::sleep` in
 //!   deterministic crates;
-//! * **D2 `unordered-iter`** — no iteration of `HashMap`/`HashSet`
-//!   bindings or fields (point access by key is fine);
+//! * **D2 `hash-container`** — no `HashMap`/`HashSet` at all: their
+//!   iteration order is a function of `RandomState`, not of the run;
 //! * **D3 `ambient-entropy`** — no `thread_rng`/`from_entropy`/
 //!   `RandomState`;
 //! * **`libm`** — no transcendental float calls (`ln`, `exp`, `sin`, …),

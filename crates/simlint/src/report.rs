@@ -11,7 +11,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule identifier (e.g. `wall-clock`, `unordered-iter`).
+    /// Rule identifier (e.g. `wall-clock`, `hash-container`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

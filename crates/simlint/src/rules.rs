@@ -3,7 +3,7 @@
 //! | id                       | tier          | what it catches                                   |
 //! |--------------------------|---------------|---------------------------------------------------|
 //! | `wall-clock`             | deterministic | `Instant`, `SystemTime`, `thread::sleep`          |
-//! | `unordered-iter`         | deterministic | iterating a `HashMap`/`HashSet` binding or field  |
+//! | `hash-container`         | deterministic | `HashMap`, `HashSet`                              |
 //! | `ambient-entropy`        | deterministic | `thread_rng`, `from_entropy`, `RandomState`       |
 //! | `libm`                   | deterministic | transcendental float calls (`ln`, `exp`, `sin`, …)|
 //! | `tier-boundary`          | deterministic | a `[dependencies]` entry naming an exempt crate   |
@@ -24,20 +24,6 @@
 use crate::lexer::{Comment, Lexed, Tok, Token};
 use crate::report::Finding;
 use crate::workspace::Tier;
-
-/// Methods that observe iteration order when called on a hash container.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
 
 /// Identifiers that pull entropy from the environment.
 const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "RandomState"];
@@ -123,15 +109,9 @@ fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
     let mk = |line: u32, rule: &'static str, message: String| {
         Finding::new(rel_path, line, rule, message)
     };
-    let unordered = |line: u32, how: String| {
-        let why = "iterates a hash container — order is a function of RandomState, not of the \
-                   run; use BTreeMap/BTreeSet or sort first";
-        mk(line, "unordered-iter", format!("{how} {why}"))
-    };
-    let hash_names = collect_hash_names(toks);
-
     for (i, t) in toks.iter().enumerate() {
-        // D1 wall-clock and D3 ambient entropy: single-identifier scans.
+        // D1 wall-clock, D2 hash containers and D3 ambient entropy:
+        // single-identifier scans.
         // Raw identifiers count too — `r#Instant` resolves to the same item.
         let Some(w) = t.tok.ident() else { continue };
         match w {
@@ -145,6 +125,14 @@ fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
                 "wall-clock",
                 "`thread::sleep` in deterministic code — schedule a simulated timer".to_string(),
             )),
+            "HashMap" | "HashSet" => out.push(mk(
+                t.line,
+                "hash-container",
+                format!(
+                    "`{w}` in deterministic code — its iteration order is a function of \
+                     RandomState, not of the run; use BTreeMap/BTreeSet or an index-keyed Vec"
+                ),
+            )),
             w if ENTROPY_IDENTS.contains(&w) => out.push(mk(
                 t.line,
                 "ambient-entropy",
@@ -152,7 +140,7 @@ fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
             )),
             _ => {}
         }
-        // `.m(` method calls: libm, and D2 on a hash-typed receiver.
+        // `.m(` method calls: libm.
         let is_call = i > 0
             && toks[i - 1].tok == Tok::Punct('.')
             && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('('));
@@ -166,18 +154,6 @@ fn deterministic_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
                 ),
             ));
         }
-        if is_call && ITER_METHODS.contains(&w) {
-            let receiver = i.checked_sub(2).and_then(|r| toks[r].tok.ident());
-            if let Some(name) = receiver.filter(|n| hash_names.iter().any(|h| h == n)) {
-                out.push(unordered(t.line, format!("`{name}.{w}()`")));
-            }
-        }
-        // D2: for … in [&[mut]] path::to::name {
-        if t.tok.is_kw("in") && i > 0 {
-            if let Some((name, line)) = for_loop_hash_target(toks, i, &hash_names) {
-                out.push(unordered(line, format!("`for … in {name}`")));
-            }
-        }
     }
     out
 }
@@ -188,172 +164,6 @@ fn path_prefix_is(toks: &[Token], i: usize, prefix: &str) -> bool {
         && toks[i - 1].tok == Tok::Punct(':')
         && toks[i - 2].tok == Tok::Punct(':')
         && toks[i - 3].tok.ident() == Some(prefix)
-}
-
-/// Names bound with a hash-container type, from two shapes:
-///
-///  * `name : TYPE` (struct fields, fn params, typed lets) — decided by
-///    [`type_is_hash`], which looks *through* deref wrappers
-///    (`Arc<HashMap<…>>` binds) but *not* into ordered containers
-///    (`Vec<HashMap<…>>` does not — iterating the Vec is ordered);
-///  * `name = HashMap::…` / `name = …collect::<HashSet<…>>()` (inferred
-///    lets, assignments of constructor or collector calls).
-fn collect_hash_names(toks: &[Token]) -> Vec<String> {
-    let mut names = Vec::new();
-    for i in 0..toks.len() {
-        let Some(name) = toks[i].tok.ident() else { continue };
-        // `name :` but not `name ::`.
-        if toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-            && toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct(':'))
-        {
-            let ty_start = i + 2;
-            let ty_end = type_span_end(toks, ty_start);
-            if type_is_hash(&toks[ty_start..ty_end]) {
-                names.push(name.to_string());
-            }
-        }
-        // `name = RHS` (skip `==`, `!=`, `<=`, `>=`): binds when RHS
-        // starts with a hash constructor or contains a hash turbofish
-        // (`collect::<HashMap<…>>`).
-        if toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('='))
-            && toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct('='))
-        {
-            let rhs_start = i + 2;
-            if let Some(Tok::Ident(w)) = toks.get(rhs_start).map(|t| &t.tok) {
-                if w == "HashMap" || w == "HashSet" {
-                    names.push(name.to_string());
-                    continue;
-                }
-            }
-            // Scan the statement's rhs for a turbofish whose type is hash.
-            let mut j = rhs_start;
-            let mut depth = 0i32;
-            while j < toks.len() {
-                match &toks[j].tok {
-                    Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-                    Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') if depth > 0 => depth -= 1,
-                    Tok::Punct(';') | Tok::Punct('}') if depth == 0 => break,
-                    Tok::Punct('<')
-                        if j >= 2
-                            && toks[j - 1].tok == Tok::Punct(':')
-                            && toks[j - 2].tok == Tok::Punct(':') =>
-                    {
-                        let end = type_span_end(toks, j + 1);
-                        if type_is_hash(&toks[j + 1..end]) {
-                            names.push(name.to_string());
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-    names.sort_unstable();
-    names.dedup();
-    names
-}
-
-/// True when the type tokens name a hash container, looking through
-/// references, deref wrappers (`Arc`, `Rc`, `Box`, `Cow`) and path
-/// prefixes (`std::collections::HashMap`), but not into other generic
-/// containers: `Vec<HashMap<…>>` iterates in index order.
-fn type_is_hash(toks: &[Token]) -> bool {
-    const TRANSPARENT: &[&str] = &["Arc", "Rc", "Box", "Cow"];
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Punct('&') | Tok::Punct('<') | Tok::Lifetime => i += 1,
-            Tok::Ident(w) if w == "mut" || w == "dyn" || w == "impl" => i += 1,
-            t => {
-                let Some(w) = t.ident() else { return false };
-                if w == "HashMap" || w == "HashSet" {
-                    return true;
-                }
-                let is_path_prefix = toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                    && toks.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(':'));
-                if is_path_prefix {
-                    i += 3;
-                } else if TRANSPARENT.contains(&w) {
-                    i += 1;
-                } else {
-                    return false;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Extent of a type starting at `start`: up to the first
-/// `, ; ) { } =` at angle-depth 0.
-fn type_span_end(toks: &[Token], start: usize) -> usize {
-    let mut angle = 0i32;
-    let mut j = start;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Punct(',')
-            | Tok::Punct(';')
-            | Tok::Punct(')')
-            | Tok::Punct('{')
-            | Tok::Punct('}')
-            | Tok::Punct('=')
-                if angle <= 0 =>
-            {
-                break;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// For a `for … in EXPR {` loop, return the hash-container name when the
-/// loop target is a plain (possibly `&`/`&mut`/field-path) reference to
-/// one. Method calls in EXPR are left to the `.method(` check.
-fn for_loop_hash_target(
-    toks: &[Token],
-    in_idx: usize,
-    hash_names: &[String],
-) -> Option<(String, u32)> {
-    // Confirm this `in` belongs to a `for` loop: scan back to the `for`
-    // within the same statement (bounded lookbehind keeps this cheap).
-    let mut saw_for = false;
-    for k in in_idx.saturating_sub(12)..in_idx {
-        if toks[k].tok.is_kw("for") {
-            saw_for = true;
-        }
-    }
-    if !saw_for {
-        return None;
-    }
-    let mut depth = 0i32;
-    let mut last_ident: Option<(String, u32)> = None;
-    let mut j = in_idx + 1;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct('(') | Tok::Punct('[') => {
-                // A call or index in the target expression: not a bare
-                // container reference, leave it to the method check.
-                return None;
-            }
-            Tok::Punct('{') if depth == 0 => break,
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => depth -= 1,
-            Tok::Ident(w) => last_ident = Some((w.clone(), toks[j].line)),
-            _ => {}
-        }
-        j += 1;
-    }
-    let (name, line) = last_ident?;
-    if hash_names.contains(&name) {
-        Some((name, line))
-    } else {
-        None
-    }
 }
 
 /// Count `.unwrap(` call sites.
@@ -503,63 +313,14 @@ mod tests {
     }
 
     #[test]
-    fn unordered_iter_fires_on_declared_hashmap_methods() {
-        let src = "struct S { m: HashMap<u32, u32> }\nfn f(s: &S) { for (k, v) in s.m.iter() { } }";
+    fn hash_containers_fire_wherever_they_are_named() {
+        let src = "use std::collections::HashMap;\nstruct S { seen: HashSet<u64> }\n\
+                   let m = std::collections::HashMap::<u8, u8>::new();";
         let c = check(Tier::Deterministic, src);
-        assert_eq!(rules_of(&c), vec!["unordered-iter"]);
-        assert_eq!(c.findings[0].line, 2);
-    }
-
-    #[test]
-    fn unordered_iter_fires_on_for_loop_over_hash_binding() {
-        let src = "let mut seen = HashSet::new();\nfor x in &seen { }";
-        let c = check(Tier::Deterministic, src);
-        assert_eq!(rules_of(&c), vec!["unordered-iter"]);
-    }
-
-    #[test]
-    fn unordered_iter_quiet_on_btreemap_and_point_access() {
-        let src = "let m: BTreeMap<u32, u32> = BTreeMap::new();\nfor (k, v) in m.iter() { }\n\
-                   let h: HashMap<u32, u32> = HashMap::new();\nlet v = h.get(&1);";
-        let c = check(Tier::Deterministic, src);
-        assert!(c.findings.is_empty(), "{:?}", c.findings);
-    }
-
-    #[test]
-    fn vec_of_hashmaps_is_ordered_iteration() {
-        // Iterating the outer Vec yields elements in index order — only
-        // iterating the *inner* maps would be unordered, and that shows
-        // up as its own binding when it happens.
-        let src = "struct S { timers: Vec<HashMap<u64, u32>> }\n\
-                   fn f(s: &S) { for m in s.timers.iter() { } }";
-        let c = check(Tier::Deterministic, src);
-        assert!(c.findings.is_empty(), "{:?}", c.findings);
-    }
-
-    #[test]
-    fn arc_wrapped_hashmap_still_binds() {
-        let src = "struct S { shared: Arc<HashMap<u64, u32>> }\n\
-                   fn f(s: &S) { for m in s.shared.iter() { } }";
-        let c = check(Tier::Deterministic, src);
-        assert_eq!(rules_of(&c), vec!["unordered-iter"]);
-    }
-
-    #[test]
-    fn hash_fields_collected_with_outer_type_precision() {
-        let src = "struct S { live: HashSet<u64>, ordered: Vec<HashMap<u8, u8>>, \
-                   shared: Arc<HashMap<u8, u8>>, path: std::collections::HashMap<u8, u8> }";
-        assert_eq!(collect_hash_names(&lex(src).tokens), vec!["live", "path", "shared"]);
-    }
-
-    #[test]
-    fn collect_turbofish_into_hash_binds() {
-        let src = "let picked = xs.iter().collect::<HashSet<u32>>();\nfor x in &picked { }";
-        let c = check(Tier::Deterministic, src);
-        assert_eq!(rules_of(&c), vec!["unordered-iter"]);
-        // …but collecting into a Vec of maps does not.
-        let src = "let rows = xs.iter().collect::<Vec<HashMap<u32, u32>>>();\nfor r in &rows { }";
-        let c = check(Tier::Deterministic, src);
-        assert!(c.findings.is_empty(), "{:?}", c.findings);
+        assert_eq!(rules_of(&c), vec!["hash-container"; 3]);
+        assert_eq!(c.findings.iter().map(|f| f.line).collect::<Vec<_>>(), vec![1, 2, 3]);
+        let ordered = "let m: BTreeMap<u32, u32> = BTreeMap::new(); let s = BTreeSet::new();";
+        assert!(check(Tier::Deterministic, ordered).findings.is_empty());
     }
 
     #[test]

@@ -8,20 +8,12 @@
 //!   measurable stall, exactly the quantity the paper's design minimises.
 //! * [`CheckpointStore`] — what is durably stored, per `(process, csn)`,
 //!   with recovery-line computation and garbage collection.
-//! * [`StagingArea`] — the local-memory cost of optimism: tentative
-//!   checkpoints and message logs held in volatile memory until finalize.
-//! * [`codec`] — versioned binary framing for durable records, so byte
-//!   accounting in the experiments includes real header overhead.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod server;
-pub mod staging;
 pub mod store;
 
-pub use codec::{decode_checkpoint, encode_checkpoint, CodecError};
 pub use server::{Completion, StorageConfig, StorageServer};
-pub use staging::StagingArea;
 pub use store::{CheckpointStore, StoredCheckpoint};

@@ -42,8 +42,9 @@ fn main() {
         println!("round {round}: all {n} nodes finalized checkpoint {round}");
     }
 
-    let line = cluster.store().recovery_line(n);
-    println!("\nstable store: {} records, recovery line S_{line}", cluster.store().len());
+    let store = cluster.store().lock();
+    println!("\nstable store: {} records, recovery line S_{}", store.len(), store.recovery_line());
+    drop(store);
 
     // Judge every complete round against the oracle fed in real time.
     {

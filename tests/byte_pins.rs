@@ -58,9 +58,9 @@ fn runs() -> Vec<(String, u64)> {
         }
     }
 
-    // The crash lands before the first round: with an early-flushed state,
-    // the runner records a checkpoint durable before its log is written,
-    // so a rollback to S_k >= 1 cannot decode that log (ROADMAP item 3).
+    // The crash lands before the first round, so this pin covers a
+    // rollback to S_0; `live_recovery.rs::early_flush_rolls_back_to_a_round`
+    // covers the rollback to a round under an early state flush.
     let mut crash = base(5, 2024);
     crash.workload_duration = SimDuration::from_millis(1_400);
     crash.faults =

@@ -83,6 +83,31 @@ fn recovered_run_matches_restored_states() {
     }
 }
 
+/// Under an early state flush the log is a checkpoint's last write, issued
+/// after it completes: a checkpoint counts as durable only once that write
+/// is in, so a rollback to a line at or after round 1 restores every
+/// process exactly.
+#[test]
+fn early_flush_rolls_back_to_a_round() {
+    let jittered = FlushPolicy::Jittered { max_delay: SimDuration::from_millis(60) };
+    for flush_policy in [FlushPolicy::Eager, jittered] {
+        let mut cfg = recovery_cfg(5, 2024, 900, 60);
+        cfg.trace = true;
+        let r = run(&Algo::Ocpt(OcptConfig { flush_policy, ..OcptConfig::default() }), cfg);
+        assert!(r.protocol_error.is_none(), "{flush_policy:?}: {:?}", r.protocol_error);
+        assert_eq!(r.counters.get("recovery.performed"), 1);
+        let line: u64 = r
+            .trace
+            .events()
+            .iter()
+            .find(|e| e.code == "recovery.line")
+            .and_then(|e| e.detail.strip_prefix("S_")?.parse().ok())
+            .expect("the rollback records its line");
+        assert!(line >= 1, "{flush_policy:?}: the crash must land after round 1");
+        assert_eq!(ocpt::harness::verify_restored_states(&r, line), Ok(5), "{flush_policy:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 

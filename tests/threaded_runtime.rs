@@ -27,7 +27,7 @@ fn one_round_with_traffic() {
         cluster.send_app(ProcessId(i), ProcessId((i + 2) % 3), 128);
     }
     cluster.wait_for_round(1, Duration::from_secs(10)).expect("round 1");
-    assert_eq!(cluster.store().recovery_line(3), 1);
+    assert_eq!(cluster.store().lock().recovery_line(), 1);
     let obs = cluster.observer().lock();
     assert!(obs.judge(1).expect("complete").is_consistent());
     drop(obs);
@@ -41,7 +41,7 @@ fn convergence_timer_rescues_silent_round() {
     let cluster = Cluster::start(4, cfg());
     cluster.checkpoint(ProcessId(2));
     cluster.wait_for_round(1, Duration::from_secs(10)).expect("silent round");
-    assert_eq!(cluster.store().recovery_line(4), 1);
+    assert_eq!(cluster.store().lock().recovery_line(), 1);
     cluster.shutdown();
 }
 
@@ -63,7 +63,7 @@ fn several_rounds_alternating_initiators() {
         }
         cluster.wait_for_round(round, Duration::from_secs(10)).unwrap();
     }
-    assert_eq!(cluster.store().recovery_line(n), 4);
+    assert_eq!(cluster.store().lock().recovery_line(), 4);
     // Every completed round consistent under the real interleaving.
     let obs = cluster.observer().lock();
     let complete = obs.complete_csns();
@@ -89,7 +89,7 @@ fn durable_blobs_decode_and_replay() {
     }
     cluster.wait_for_round(1, Duration::from_secs(10)).unwrap();
     for i in 0..3u32 {
-        let d = cluster.store().get(ProcessId(i), 1).expect("durable");
+        let d = cluster.store().lock().get(ProcessId(i), 1).cloned().expect("durable");
         let plan =
             ocpt::protocol::plan_recovery(1, d.state, d.log).expect("blobs decode and replay");
         assert_eq!(plan.csn, 1);
@@ -119,4 +119,34 @@ fn stress_many_messages_many_rounds() {
     }
     drop(obs);
     cluster.shutdown();
+}
+
+/// Every stored checkpoint decodes through `plan_recovery` under each
+/// logging strategy, and under an eager state flush, where the log is the
+/// checkpoint's last write.
+#[test]
+fn stored_checkpoints_decode_under_every_strategy_and_eager_flush() {
+    let mut cfgs: Vec<OcptConfig> =
+        LoggingKind::ALL.into_iter().map(|logging| OcptConfig { logging, ..cfg() }).collect();
+    cfgs.push(OcptConfig { flush_policy: FlushPolicy::Eager, ..cfg() });
+    for c in cfgs {
+        let cluster = Cluster::start(3, c);
+        for i in 0..3u32 {
+            cluster.send_app(ProcessId(i), ProcessId((i + 1) % 3), 96);
+        }
+        cluster.checkpoint(ProcessId(0));
+        for i in 0..3u32 {
+            cluster.send_app(ProcessId(i), ProcessId((i + 2) % 3), 96);
+        }
+        cluster.wait_for_round(1, Duration::from_secs(10)).expect("round 1");
+        let store = cluster.store().lock();
+        assert_eq!(store.recovery_line(), 1);
+        for i in 0..3u32 {
+            let d = store.get(ProcessId(i), 1).expect("durable");
+            ocpt::protocol::plan_recovery(1, d.state.clone(), d.log.clone())
+                .unwrap_or_else(|e| panic!("{:?} / {:?}: {e}", c.logging, c.flush_policy));
+        }
+        drop(store);
+        cluster.shutdown();
+    }
 }
