@@ -52,51 +52,50 @@ pub enum WritePolicy {
     },
 }
 
-/// Shape of the control-message convergence wave.
+/// How the control-message convergence wave shards the processes.
 ///
 /// The paper's Fig. 4 runs one flat `CK_REQ` ring through all `N`
 /// processes and has `P_0` broadcast `CK_END` to everyone — O(N) work on
 /// the coordinator and an O(N)-hop token walk. Past a few hundred
-/// processes that is the scaling wall, so processes can be sharded into
+/// processes that is the scaling wall, so processes shard into
 /// contiguous id groups: each group runs its own ring under a group
 /// leader (the smallest id in the group), leaders exchange summaries with
 /// `P_0` (`CK_BGN` escalation up, `CK_GRP_DONE` up, `CK_END` relayed
 /// down), and no single process ever sends more than
-/// O(group size + #groups) control messages per round.
+/// O(group size + #groups) control messages per round. The flat ring is
+/// the sharding into one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlTopology {
-    /// The paper's single flat ring coordinated by `P_0`.
-    Flat,
     /// Fixed-size contiguous id groups (`P_{g·s} … P_{g·s+s-1}`), each
     /// with an intra-group ring; leaders talk to `P_0`.
     Grouped {
         /// Processes per group (the last group may be smaller).
         group_size: u32,
     },
-    /// Flat up to `threshold` processes, then grouped with a group size of
-    /// `⌈√N⌉` — the size that balances ring length against leader count.
-    Auto {
-        /// Largest N that still runs the flat ring.
-        threshold: u32,
-    },
+    /// One group (the paper's flat ring) up to 512 processes, then groups
+    /// of `⌈√N⌉` — the size that balances ring length against leader
+    /// count.
+    Auto,
 }
 
+/// Largest N that [`ControlTopology::Auto`] runs as the flat ring.
+const AUTO_FLAT_MAX: usize = 512;
+
 impl ControlTopology {
-    /// Resolve to a concrete group size for a system of `n` processes;
-    /// `None` means the flat ring. Degenerate shards (a single group, or
-    /// groups of one) fall back to flat as well.
-    pub fn group_size(self, n: usize) -> Option<u32> {
+    /// Processes per group in a system of `n`. A degenerate sharding (a
+    /// single group, or groups of one) resolves to `n`: one group `[0, n)`
+    /// led by `P_0`, the paper's flat ring.
+    pub fn group_size(self, n: usize) -> u32 {
         let size = match self {
-            ControlTopology::Flat => return None,
             ControlTopology::Grouped { group_size } => group_size,
-            ControlTopology::Auto { threshold } => {
-                if n <= threshold as usize {
-                    return None;
-                }
-                isqrt_ceil(n as u64) as u32
-            }
+            ControlTopology::Auto if n <= AUTO_FLAT_MAX => return n as u32,
+            ControlTopology::Auto => isqrt_ceil(n as u64) as u32,
         };
-        (size >= 2 && (size as usize) < n).then_some(size)
+        if size >= 2 && (size as usize) < n {
+            size
+        } else {
+            n as u32
+        }
     }
 }
 
@@ -135,8 +134,9 @@ pub struct OcptConfig {
     /// the fix the paper pairs with case 1, without which suppressed
     /// processes can starve. Off is the naive control layer (ablation A1).
     pub optimized_control: bool,
-    /// Shape of the control wave: the paper's flat ring, explicit groups,
-    /// or the automatic √N sharding above a size threshold.
+    /// How the control wave shards the processes: explicit groups, or
+    /// `Auto` — the paper's flat ring (one group) up to 512 processes and
+    /// `⌈√N⌉`-sized groups beyond.
     pub control_topology: ControlTopology,
     /// When tentative checkpoints are flushed.
     pub flush_policy: FlushPolicy,
@@ -156,9 +156,8 @@ impl Default for OcptConfig {
             control_messages: true,
             optimized_control: true,
             // N ≤ 512 keeps the paper-exact flat ring; larger systems
-            // shard into ⌈√N⌉-sized groups. Every stock experiment runs
-            // at N ≤ 128, so defaults stay byte-identical to the flat era.
-            control_topology: ControlTopology::Auto { threshold: 512 },
+            // shard into ⌈√N⌉-sized groups.
+            control_topology: ControlTopology::Auto,
             flush_policy: FlushPolicy::Lazy,
             finalize_write: WritePolicy::Phased { window: SimDuration::from_millis(400) },
             state_bytes: 4 * 1024 * 1024,
@@ -207,19 +206,18 @@ mod tests {
 
     #[test]
     fn topology_resolution() {
-        // Flat never shards.
-        assert_eq!(ControlTopology::Flat.group_size(100_000), None);
-        // Auto: flat at/below the threshold, ⌈√N⌉ above it.
-        let auto = ControlTopology::Auto { threshold: 512 };
-        assert_eq!(auto.group_size(512), None);
-        assert_eq!(auto.group_size(513), Some(23)); // ⌈√513⌉
-        assert_eq!(auto.group_size(10_000), Some(100));
-        assert_eq!(auto.group_size(100_000), Some(317)); // ⌈√100000⌉
-                                                         // Explicit groups, with degenerate shapes falling back to flat.
-        assert_eq!(ControlTopology::Grouped { group_size: 4 }.group_size(12), Some(4));
-        assert_eq!(ControlTopology::Grouped { group_size: 1 }.group_size(12), None);
-        assert_eq!(ControlTopology::Grouped { group_size: 12 }.group_size(12), None);
-        assert_eq!(ControlTopology::Grouped { group_size: 64 }.group_size(12), None);
+        // Auto: one group (flat) at/below 512 processes, ⌈√N⌉ above.
+        let auto = ControlTopology::Auto;
+        assert_eq!(auto.group_size(512), 512);
+        assert_eq!(auto.group_size(513), 23); // ⌈√513⌉
+        assert_eq!(auto.group_size(10_000), 100);
+        assert_eq!(auto.group_size(100_000), 317); // ⌈√100000⌉
+
+        // Explicit groups; degenerate shapes resolve to one group of N.
+        assert_eq!(ControlTopology::Grouped { group_size: 4 }.group_size(12), 4);
+        assert_eq!(ControlTopology::Grouped { group_size: 1 }.group_size(12), 12);
+        assert_eq!(ControlTopology::Grouped { group_size: 12 }.group_size(12), 12);
+        assert_eq!(ControlTopology::Grouped { group_size: 64 }.group_size(12), 12);
     }
 
     #[test]

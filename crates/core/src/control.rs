@@ -6,7 +6,7 @@
 //! sit unfinalized forever (the paper's *convergence problem*). The fix:
 //!
 //! 1. a timer armed at every tentative checkpoint; on expiry the process
-//!    sends `CK_BGN` to `P_0` (suppressed when a smaller-id process is
+//!    sends `CK_BGN` towards `P_0` (suppressed when a smaller-id process is
 //!    known to be tentative — §3.5.1 case 1);
 //! 2. `P_0` circulates a `CK_REQ` token that makes every process take the
 //!    tentative checkpoint, skipping processes already known tentative
@@ -18,12 +18,11 @@
 //! The timer is cancelled when the checkpoint finalizes or when any
 //! control message carrying the current sequence number arrives.
 //!
-//! ## Hierarchical waves
+//! ## One wave over contiguous groups
 //!
-//! The flat ring is O(N) per round — both the token walk and `P_0`'s
-//! `CK_END` fan-out — which caps practical system size. When
-//! [`crate::config::ControlTopology`] resolves to a group size, processes
-//! shard into contiguous id groups and the wave becomes two-tier:
+//! Processes shard into contiguous id groups of the size
+//! [`crate::config::ControlTopology`] resolves to; the smallest id of a
+//! group leads it, and `P_0` leads group 0. The wave has two tiers:
 //!
 //! * members alarm their **group leader** (`CK_BGN`), leaders escalate to
 //!   `P_0` (both tiers keep the §3.5.1 smaller-id suppression rule);
@@ -32,10 +31,12 @@
 //! * once every group reported, `P_0` sends `CK_END` to the leaders, who
 //!   relay it to their members.
 //!
-//! No process sends more than O(group size + #groups) control messages
-//! per round; with the default `⌈√N⌉` group size that is O(√N). The flat
-//! ring remains both the small-N fast path and the differential oracle —
-//! a flat and a grouped run converge on the same recovery line.
+//! The paper's flat ring is the degenerate sharding: one group `[0, N)`
+//! led by `P_0`. It has no other leader, so nobody sends `CK_GRP_DONE`:
+//! the round closes when `P_0`'s own token comes home, and `P_0`'s relay
+//! to its members is Fig. 4's broadcast to everyone. With `⌈√N⌉`-sized
+//! groups no process sends more than O(√N) control messages per round,
+//! against the flat ring's O(N).
 
 use ocpt_sim::ProcessId;
 
@@ -47,7 +48,8 @@ use crate::wire::{CtrlKind, CtrlMsg, Envelope};
 
 impl OcptProcess {
     /// The convergence timer for checkpoint `csn` fired (Fig. 4, "When the
-    /// timer for finalizing the tentative checkpoint on P_i expires").
+    /// timer for finalizing the tentative checkpoint on P_i expires"):
+    /// `P_0` starts the wave, a leader alarms `P_0`, a member its leader.
     pub(crate) fn on_convergence_timer(&mut self, csn: Csn, out: &mut Out) {
         // Stale or already-resolved timers are ignored.
         if self.status() != Status::Tentative || self.csn() != csn {
@@ -55,125 +57,41 @@ impl OcptProcess {
         }
         self.timer_armed = false;
         self.stats_mut().inc("timer.expired");
-        if self.hier_group_size().is_some() {
-            self.on_timer_hier(csn, out);
-            return;
-        }
         if self.id() == ProcessId::P0 {
-            // P_0 initiates CK_REQ messages directly.
-            self.forward_ck_req(out);
-        } else {
-            if self.config().optimized_control {
-                // [OCPT §3.5.1] case 1 (CK_BGN suppression): if some P_j
-                // with j < i is known tentative,
-                // that process (or a smaller one) will notify P_0.
-                if let Some(min) = self.tent_set().min() {
-                    if min < self.id() {
-                        self.stats_mut().inc("ctrl.bgn_suppressed");
-                        return;
-                    }
-                }
-            }
-            self.stats_mut().inc("ctrl.bgn_sent");
-            send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
+            self.start_global_wave(out);
+            return;
         }
-    }
-
-    /// `forwardCheckpointRequest(P_i, CM)` from Fig. 4.
-    ///
-    /// Chooses the next hop for the `CK_REQ` token:
-    /// * a process that has already finalized forwards straight to `P_0`
-    ///   (§3.5.1 case 2, "If it has finalized this checkpoint, it forwards
-    ///   the message to P_0 directly");
-    /// * with the skip optimization, the first `P_k` (`k > i`) *not* known
-    ///   tentative; if all higher ids are known tentative, `P_0`;
-    /// * without it, simply `P_{i+1}` (wrapping to `P_0`).
-    ///
-    /// If the chosen hop is `P_0` and we *are* `P_0`, the ring is complete:
-    /// broadcast `CK_END` and finalize.
-    pub(crate) fn forward_ck_req(&mut self, out: &mut Out) {
-        // [OCPT §3.5.1] case 2 (CK_REQ skipping): route the ring token past
-        // processes already known tentative.
-        let csn = self.csn();
-        let dst = if self.status() == Status::Normal {
-            ProcessId::P0
-        } else if self.config().optimized_control {
-            self.tent_set().first_absent_above(self.id()).unwrap_or(ProcessId::P0)
+        // [OCPT §3.5.1] case 1 (CK_BGN suppression), within each tier: a
+        // member stays quiet when a smaller-id member of its group (possibly
+        // the leader) is known tentative, a leader when a smaller-id leader
+        // is — that process, or a smaller one, raises the alarm.
+        let optimized = self.config().optimized_control;
+        let g = self.group_of(self.id());
+        let (dst, covered) = if self.is_group_leader() {
+            let known = (0..g).any(|h| self.tent_set().contains(self.leader_of(h)));
+            (ProcessId::P0, optimized && known)
         } else {
-            ProcessId((self.id().0 + 1) % self.n() as u32)
+            let leader = self.leader_of(g);
+            (leader, optimized && self.tent_set().min_in(leader.0, self.id().0).is_some())
         };
-        self.ck_req_sent_for = Some(csn);
-        if dst == ProcessId::P0 && self.id() == ProcessId::P0 {
-            // Ring closed at the coordinator without leaving it.
-            self.complete_ring(out);
+        if covered {
+            self.stats_mut().inc("ctrl.bgn_suppressed");
             return;
         }
-        self.stats_mut().inc("ctrl.req_sent");
-        send_ctrl(out, dst, CtrlMsg { kind: CtrlKind::CkReq, csn });
-    }
-
-    /// `P_0` learned that every process has taken the tentative checkpoint:
-    /// broadcast `CK_END` (once) and finalize its own checkpoint.
-    fn complete_ring(&mut self, out: &mut Out) {
-        debug_assert_eq!(self.id(), ProcessId::P0);
-        if self.ck_end_sent_for != Some(self.csn()) {
-            self.broadcast_ck_end(out);
-        }
-        if self.status() == Status::Tentative {
-            self.finalize(out);
-        }
-    }
-
-    /// Broadcast `CK_END(csn)` along the control topology (once per round).
-    ///
-    /// Flat: to every other process (Fig. 4). Hierarchical: `P_0` sends to
-    /// the other group leaders plus its own group-0 members; a leader
-    /// relays to its members only. The relay is what keeps suppression
-    /// starvation-free in the two-tier wave — whenever a leader finalizes
-    /// `csn` its members hear `CK_END(csn)`, so a stale alarm at an
-    /// already-advanced leader can be ignored safely.
-    pub(crate) fn broadcast_ck_end(&mut self, out: &mut Out) {
-        let csn = self.csn();
-        if self.ck_end_sent_for == Some(csn) {
-            return;
-        }
-        self.ck_end_sent_for = Some(csn);
-        let me = self.id();
-        let cm = CtrlMsg { kind: CtrlKind::CkEnd, csn };
-        let fanout;
-        if self.hier_group_size().is_none() {
-            for dst in ProcessId::all(self.n()).filter(|d| *d != me) {
-                send_ctrl(out, dst, cm);
-            }
-            fanout = self.n() as u64 - 1;
-        } else {
-            let mut sent = 0u64;
-            if me == ProcessId::P0 {
-                for g in 1..self.num_groups() {
-                    send_ctrl(out, self.leader_of(g), cm);
-                    sent += 1;
-                }
-            }
-            if self.is_group_leader() {
-                let g = self.group_of(me);
-                for id in (me.0 + 1)..self.group_end(g) {
-                    send_ctrl(out, ProcessId(id), cm);
-                    sent += 1;
-                }
-            }
-            fanout = sent;
-        }
-        self.stats_mut().add("ctrl.end_sent", fanout);
+        self.stats_mut().inc("ctrl.bgn_sent");
+        send_ctrl(out, dst, CtrlMsg { kind: CtrlKind::CkBgn, csn });
     }
 
     /// A control message arrived (Fig. 4, "When P_i receives CM from P_j").
+    /// The csn is normalized first (one ahead, current, stale or an
+    /// impossible jump); the message is then dispatched on its kind and
+    /// this process's role in the wave.
     pub fn on_ctrl_receive(
         &mut self,
         src: ProcessId,
         cm: CtrlMsg,
         out: &mut Vec<ProtoAction<Envelope>>,
     ) -> Result<(), ProtocolError> {
-        let _ = src;
         self.stats_mut().inc("ctrl.received");
 
         // Timer cancellation rule: "the timer is canceled when … it
@@ -181,10 +99,6 @@ impl OcptProcess {
         // tentative checkpoint."
         if self.status() == Status::Tentative && cm.csn == self.csn() {
             self.cancel_convergence_timer(out);
-        }
-
-        if self.hier_group_size().is_some() {
-            return self.on_ctrl_receive_hier(src, cm, out);
         }
 
         if cm.csn == self.csn() + 1 {
@@ -198,127 +112,20 @@ impl OcptProcess {
             }
             // The sender is already at csn+1, so checkpoint csn is fully
             // taken everywhere: finalize ours (if pending), join the new
-            // one, and keep the token moving. The timer for the new
-            // tentative checkpoint is not armed: this very message is a CM
-            // carrying its sequence number, which would cancel it on the
-            // spot (Fig. 4's cancellation rule).
-            if self.status() == Status::Tentative {
-                self.finalize(out);
-            }
-            self.take_tentative(out, false);
-            self.forward_ck_req(out);
-            return Ok(());
-        }
-
-        if cm.csn == self.csn() {
-            match cm.kind {
-                CtrlKind::CkBgn => {
-                    if self.status() == Status::Tentative {
-                        if self.ck_req_sent_for == Some(cm.csn) {
-                            return Ok(()); // dedupe (Fig. 4)
-                        }
-                        self.forward_ck_req(out);
-                    } else {
-                        // Already finalized: tell everyone (handles the
-                        // suppression starvation case).
-                        self.broadcast_ck_end(out);
-                    }
-                }
-                CtrlKind::CkReq => {
-                    if self.id() == ProcessId::P0 {
-                        self.complete_ring(out);
-                    } else if self.ck_req_sent_for != Some(cm.csn) {
-                        self.forward_ck_req(out);
-                    }
-                }
-                CtrlKind::CkEnd => {
-                    if self.status() == Status::Tentative {
-                        self.finalize(out);
-                    }
-                }
-                CtrlKind::CkGrpDone => {
-                    // Only the hierarchical wave emits these; a flat ring
-                    // receiving one is misconfiguration, not corruption.
-                    self.stats_mut().inc("ctrl.misrouted_ignored");
-                }
-            }
-            return Ok(());
-        }
-
-        if cm.csn < self.csn() {
-            // Stale control message from a past checkpoint — ignore.
-            self.stats_mut().inc("ctrl.stale_ignored");
-            return Ok(());
-        }
-
-        // cm.csn > csn + 1: impossible under reliable channels.
-        Err(ProtocolError::CtrlCsnJump { at: self.id(), ours: self.csn(), theirs: cm.csn })
-    }
-
-    /// Timer expiry under the hierarchical topology: members alarm their
-    /// group leader, leaders alarm `P_0`, `P_0` starts the global wave.
-    /// The §3.5.1 suppression rule applies *within each tier*: a member
-    /// stays quiet when a smaller-id member of its own group is known
-    /// tentative; a leader stays quiet when a smaller-id *leader* is.
-    fn on_timer_hier(&mut self, csn: Csn, out: &mut Out) {
-        if self.id() == ProcessId::P0 {
-            self.start_global_wave(out);
-        } else if self.is_group_leader() {
-            if self.config().optimized_control {
-                let g = self.group_of(self.id());
-                for g2 in 0..g {
-                    if self.tent_set().contains(self.leader_of(g2)) {
-                        // That leader (or a smaller one) will alarm P_0.
-                        self.stats_mut().inc("ctrl.bgn_suppressed");
-                        return;
-                    }
-                }
-            }
-            self.stats_mut().inc("ctrl.bgn_sent");
-            send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
-        } else {
-            let leader = self.leader_of(self.group_of(self.id()));
-            if self.config().optimized_control
-                && self.tent_set().min_in(leader.0, self.id().0).is_some()
-            {
-                // A smaller-id tentative member of this group (possibly
-                // the leader itself) will raise the alarm.
-                self.stats_mut().inc("ctrl.bgn_suppressed");
-                return;
-            }
-            self.stats_mut().inc("ctrl.bgn_sent");
-            send_ctrl(out, leader, CtrlMsg { kind: CtrlKind::CkBgn, csn });
-        }
-    }
-
-    /// The hierarchical counterpart of the Fig. 4 receive handler. The
-    /// csn normalization (one-ahead / current / stale / jump) is identical
-    /// to the flat ring; only the kind × role dispatch differs.
-    fn on_ctrl_receive_hier(
-        &mut self,
-        src: ProcessId,
-        cm: CtrlMsg,
-        out: &mut Out,
-    ) -> Result<(), ProtocolError> {
-        if cm.csn == self.csn() + 1 {
-            if cm.kind == CtrlKind::CkEnd {
-                return Err(ProtocolError::CkEndAhead {
-                    at: self.id(),
-                    ours: self.csn(),
-                    theirs: cm.csn,
-                });
-            }
-            // The sender is already at csn+1, so checkpoint csn is fully
-            // taken everywhere: finalize ours (if pending), join the new
-            // round, then handle the message at the now-current csn.
+            // round, then handle the message at the now-current csn. The
+            // timer for the new tentative checkpoint is not armed: this
+            // very message is a CM carrying its sequence number, which
+            // would cancel it on the spot (Fig. 4's cancellation rule).
             if self.status() == Status::Tentative {
                 self.finalize(out);
             }
             self.take_tentative(out, false);
         } else if cm.csn < self.csn() {
+            // Stale control message from a past checkpoint — ignore.
             self.stats_mut().inc("ctrl.stale_ignored");
             return Ok(());
         } else if cm.csn > self.csn() + 1 {
+            // Impossible under reliable channels.
             return Err(ProtocolError::CtrlCsnJump {
                 at: self.id(),
                 ours: self.csn(),
@@ -326,51 +133,41 @@ impl OcptProcess {
             });
         }
 
+        let csn = self.csn();
         match cm.kind {
+            CtrlKind::CkBgn if !self.is_group_leader() => {
+                self.stats_mut().inc("ctrl.misrouted_ignored");
+            }
             CtrlKind::CkBgn => {
-                if self.id() == ProcessId::P0 {
-                    if self.status() == Status::Tentative {
-                        self.start_global_wave(out);
-                    } else {
-                        // Already finalized: answer reactively so the
-                        // alarmer (and everyone under us) can finalize.
-                        self.broadcast_ck_end(out);
-                    }
-                } else if self.is_group_leader() {
-                    if self.status() == Status::Tentative {
-                        self.escalate_ck_bgn(out);
-                    } else {
-                        // Finalized: relay CK_END down to our members.
-                        self.broadcast_ck_end(out);
-                    }
+                if self.status() == Status::Normal {
+                    // Already finalized: answer with CK_END so the alarmer
+                    // (and everyone under us) can finalize — the fix for
+                    // suppression starvation.
+                    self.broadcast_ck_end(out);
+                } else if self.id() == ProcessId::P0 {
+                    self.start_global_wave(out);
                 } else {
-                    self.stats_mut().inc("ctrl.misrouted_ignored");
+                    self.escalate_ck_bgn(out);
                 }
             }
             CtrlKind::CkReq => {
-                if self.is_group_leader() {
-                    // Either our ring token came home, or we already
-                    // finalized (the group is trivially covered): report
-                    // the group done. Otherwise start/continue our ring.
-                    if self.ck_req_sent_for == Some(self.csn()) || self.status() == Status::Normal {
-                        self.report_group_done(out);
-                    } else {
-                        self.forward_ck_req_in_group(out);
-                    }
-                } else if self.status() == Status::Normal {
-                    // §3.5.1 case 2 analog: a finalized member hands the
-                    // token straight back to its leader.
-                    let leader = self.leader_of(self.group_of(self.id()));
-                    self.stats_mut().inc("ctrl.req_sent");
-                    send_ctrl(out, leader, CtrlMsg { kind: CtrlKind::CkReq, csn: self.csn() });
-                } else if self.ck_req_sent_for != Some(self.csn()) {
-                    self.forward_ck_req_in_group(out);
+                // `P_0` never sends CK_REQ to itself, so one reaching it is
+                // group 0's token coming home; another leader's token is
+                // home once it has sent it. A finalized leader's group is
+                // trivially covered.
+                if self.is_group_leader()
+                    && (self.id() == ProcessId::P0
+                        || self.ck_req_sent_for == Some(csn)
+                        || self.status() == Status::Normal)
+                {
+                    self.report_group_done(out);
+                } else if self.status() == Status::Normal || self.ck_req_sent_for != Some(csn) {
+                    self.forward_ck_req(out);
                 }
             }
             CtrlKind::CkEnd => {
                 if self.status() == Status::Tentative {
-                    // Leaders relay to their members inside finalize
-                    // (finalize_excluding broadcasts for P_0 and leaders).
+                    // A finalizing leader relays CK_END to its members.
                     self.finalize(out);
                 }
             }
@@ -386,8 +183,8 @@ impl OcptProcess {
         Ok(())
     }
 
-    /// `P_0` launches the two-tier wave (once per round): `CK_REQ` to the
-    /// leader of every other group, then its own group-0 ring.
+    /// `P_0` launches the wave (once per round): `CK_REQ` to the leader of
+    /// every other group, then its own group-0 ring.
     fn start_global_wave(&mut self, out: &mut Out) {
         debug_assert_eq!(self.id(), ProcessId::P0);
         let csn = self.csn();
@@ -399,29 +196,38 @@ impl OcptProcess {
             send_ctrl(out, self.leader_of(g), CtrlMsg { kind: CtrlKind::CkReq, csn });
         }
         // Our own group-0 ring (sets ck_req_sent_for).
-        self.forward_ck_req_in_group(out);
+        self.forward_ck_req(out);
     }
 
-    /// The intra-group analog of [`Self::forward_ck_req`]: the token walks
-    /// the member ids of this group (skipping known tentatives under the
-    /// §3.5.1 case 2 optimization) and returns to the leader. A leader
-    /// whose members are all known tentative closes the ring on the spot.
-    fn forward_ck_req_in_group(&mut self, out: &mut Out) {
+    /// `forwardCheckpointRequest(P_i, CM)` from Fig. 4, inside this
+    /// process's group. The next hop for the `CK_REQ` token is:
+    /// * the leader, from a process that has already finalized (§3.5.1
+    ///   case 2, "If it has finalized this checkpoint, it forwards the
+    ///   message to P_0 directly" — with one group the leader is `P_0`);
+    /// * with the skip optimization, the first higher id of the group
+    ///   *not* known tentative, else the leader;
+    /// * without it, simply the next id, wrapping to the leader.
+    ///
+    /// A leader whose members are all known tentative closes its ring
+    /// without sending.
+    fn forward_ck_req(&mut self, out: &mut Out) {
+        // [OCPT §3.5.1] case 2 (CK_REQ skipping): route the ring token past
+        // processes already known tentative.
         let csn = self.csn();
         let g = self.group_of(self.id());
         let leader = self.leader_of(g);
-        let end = self.group_end(g);
-        let dst = if self.config().optimized_control {
-            self.tent_set().first_absent_in(self.id().0 + 1, end).unwrap_or(leader)
-        } else if self.id().0 + 1 < end {
-            ProcessId(self.id().0 + 1)
+        let (next, end) = (self.id().0 + 1, self.group_end(g));
+        let dst = if self.status() == Status::Normal {
+            leader
+        } else if self.config().optimized_control {
+            self.tent_set().first_absent_in(next, end).unwrap_or(leader)
+        } else if next < end {
+            ProcessId(next)
         } else {
             leader
         };
         self.ck_req_sent_for = Some(csn);
         if dst == self.id() {
-            // We are the leader and every member is already known
-            // tentative: the ring closes without leaving us.
             self.report_group_done(out);
             return;
         }
@@ -446,22 +252,21 @@ impl OcptProcess {
     }
 
     /// `P_0` bookkeeping: group `group`'s ring completed for the current
-    /// csn. When every group has reported, the round ends — `CK_END` goes
-    /// out along the hierarchy (the analog of [`Self::complete_ring`]).
+    /// csn. When every group has reported, the round ends: `CK_END` goes
+    /// out down the wave and `P_0` finalizes.
     fn mark_group_done(&mut self, group: u32, out: &mut Out) {
         debug_assert_eq!(self.id(), ProcessId::P0);
         let csn = self.csn();
         let num = self.num_groups() as usize;
-        if !matches!(&self.groups_done, Some((c, _, _)) if *c == csn) {
-            self.groups_done = Some((csn, vec![false; num], 0));
-        }
-        let (_, done, count) = self.groups_done.get_or_insert_with(|| (csn, vec![false; num], 0));
+        let (_, done, count) = match &mut self.groups_done {
+            Some(state) if state.0 == csn => state,
+            slot => slot.insert((csn, vec![false; num], 0)),
+        };
         if !done[group as usize] {
             done[group as usize] = true;
             *count += 1;
         }
-        let all_done = *count as usize == num;
-        if all_done {
+        if *count as usize == num {
             self.broadcast_ck_end(out);
             if self.status() == Status::Tentative {
                 self.finalize(out);
@@ -479,6 +284,37 @@ impl OcptProcess {
         self.ck_bgn_sent_for = Some(csn);
         self.stats_mut().inc("ctrl.bgn_sent");
         send_ctrl(out, ProcessId::P0, CtrlMsg { kind: CtrlKind::CkBgn, csn });
+    }
+
+    /// Broadcast `CK_END(csn)` down the wave, once per round: `P_0` to the
+    /// other group leaders, and every leader (`P_0` included) to its own
+    /// members — with one group, Fig. 4's broadcast to every other
+    /// process. The relay is what keeps suppression starvation-free in the
+    /// two-tier wave: whenever a leader finalizes `csn` its members hear
+    /// `CK_END(csn)`, so a stale alarm at an already-advanced leader can be
+    /// ignored safely.
+    pub(crate) fn broadcast_ck_end(&mut self, out: &mut Out) {
+        let csn = self.csn();
+        if self.ck_end_sent_for == Some(csn) {
+            return;
+        }
+        self.ck_end_sent_for = Some(csn);
+        let me = self.id();
+        let cm = CtrlMsg { kind: CtrlKind::CkEnd, csn };
+        let mut sent = 0u64;
+        if me == ProcessId::P0 {
+            for g in 1..self.num_groups() {
+                send_ctrl(out, self.leader_of(g), cm);
+                sent += 1;
+            }
+        }
+        if self.is_group_leader() {
+            for id in (me.0 + 1)..self.group_end(self.group_of(me)) {
+                send_ctrl(out, ProcessId(id), cm);
+                sent += 1;
+            }
+        }
+        self.stats_mut().add("ctrl.end_sent", sent);
     }
 }
 

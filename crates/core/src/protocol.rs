@@ -64,18 +64,18 @@ pub struct OcptProcess {
     pub(crate) ck_req_sent_for: Option<Csn>,
     /// `CK_END(csn)` already broadcast for this csn (Fig. 4 dedupe guard).
     pub(crate) ck_end_sent_for: Option<Csn>,
-    /// Hierarchical only: `CK_BGN(csn)` already escalated to `P_0` by this
-    /// group leader.
+    /// `CK_BGN(csn)` already escalated to `P_0` by this group leader (only
+    /// leaders other than `P_0` escalate).
     pub(crate) ck_bgn_sent_for: Option<Csn>,
-    /// Hierarchical only: `CK_GRP_DONE(csn)` already reported to `P_0` by
-    /// this group leader.
+    /// `CK_GRP_DONE(csn)` already reported to `P_0` by this group leader
+    /// (only leaders other than `P_0` report).
     pub(crate) grp_done_sent_for: Option<Csn>,
-    /// Hierarchical only, `P_0` only: which groups reported their ring
-    /// complete for the csn in `.0` (`.2` counts set entries).
+    /// `P_0` only: which groups reported their ring complete for the csn
+    /// in `.0` (`.2` counts set entries).
     pub(crate) groups_done: Option<(Csn, Vec<bool>, u32)>,
-    /// Resolved control sharding: `Some(group_size)` when this system runs
-    /// hierarchical waves, `None` for the paper's flat ring.
-    hier_group_size: Option<u32>,
+    /// Processes per control-wave group, resolved from the configured
+    /// topology; `n` for the paper's flat ring (one group led by `P_0`).
+    group_size: u32,
     /// Piggyback of the application message between `on_arrival` and
     /// `after_delivery` (the paper processes the message first, §3.4.3).
     pub(crate) arrived: Option<Piggyback>,
@@ -125,7 +125,7 @@ impl OcptProcess {
             ck_bgn_sent_for: None,
             grp_done_sent_for: None,
             groups_done: None,
-            hier_group_size: cfg.control_topology.group_size(n),
+            group_size: cfg.control_topology.group_size(n),
             arrived: None,
             state_flushed_for: None,
             flush_timer_for: None,
@@ -204,45 +204,32 @@ impl OcptProcess {
         &self.cfg
     }
 
-    // ---- hierarchical group geometry (control sharding) ----
+    // ---- control-wave group geometry ----
 
-    /// `Some(group_size)` when this system runs hierarchical control
-    /// waves; `None` for the paper's flat ring.
-    pub fn hier_group_size(&self) -> Option<u32> {
-        self.hier_group_size
-    }
-
-    /// Number of groups under the resolved sharding (1 when flat).
-    pub fn num_groups(&self) -> u32 {
-        match self.hier_group_size {
-            Some(s) => (self.n as u32).div_ceil(s),
-            None => 1,
-        }
+    /// Number of groups under the resolved sharding (1 for the flat ring).
+    pub(crate) fn num_groups(&self) -> u32 {
+        (self.n as u32).div_ceil(self.group_size)
     }
 
     /// The group a process belongs to (groups are contiguous id ranges).
     pub(crate) fn group_of(&self, pid: ProcessId) -> u32 {
-        pid.0 / self.hier_group_size.expect("group_of requires hierarchical mode")
+        pid.0 / self.group_size
     }
 
     /// The leader (smallest id) of a group.
     pub(crate) fn leader_of(&self, group: u32) -> ProcessId {
-        ProcessId(group * self.hier_group_size.expect("leader_of requires hierarchical mode"))
+        ProcessId(group * self.group_size)
     }
 
     /// One-past-the-end id of a group.
     pub(crate) fn group_end(&self, group: u32) -> u32 {
-        let s = self.hier_group_size.expect("group_end requires hierarchical mode");
-        ((group + 1) * s).min(self.n as u32)
+        ((group + 1) * self.group_size).min(self.n as u32)
     }
 
     /// Whether this process leads its group (`P_0` leads group 0 *and*
     /// coordinates the leaders).
     pub(crate) fn is_group_leader(&self) -> bool {
-        match self.hier_group_size {
-            Some(s) => self.id.0 % s == 0,
-            None => false,
-        }
+        self.id.0.is_multiple_of(self.group_size)
     }
 
     // ---- [OCPT §3.4.1] initiation ----
@@ -489,8 +476,8 @@ impl OcptProcess {
 
     /// Finalize the current tentative checkpoint: freeze the log, return
     /// to `Normal`, cancel the timer, mark the cut and hand the checkpoint
-    /// to the write policy, and (when configured) have `P_0` broadcast
-    /// `CK_END` so suppressed processes cannot starve.
+    /// to the write policy, and (when configured) have a group leader send
+    /// `CK_END` down the wave so suppressed processes cannot starve.
     ///
     /// `trigger_excluded` is set when the receipt of `M` triggered the
     /// finalization and `M` was removed from the log (`logSet_i - {M}`,
@@ -515,15 +502,11 @@ impl OcptProcess {
         self.cancel_convergence_timer(out);
         let log = std::mem::take(&mut self.log);
         self.commit(log, trigger_excluded, out);
-        // Flat: P_0 broadcasts CK_END to everyone. Hierarchical: P_0
-        // notifies the leaders (plus its own group), and every finalizing
-        // leader relays to its members — the "leaders exchange CK_END
-        // summaries" link that keeps suppressed members from starving.
-        if self.cfg.control_messages
-            && self.cfg.optimized_control
-            && (self.id == ProcessId::P0
-                || (self.hier_group_size.is_some() && self.is_group_leader()))
-        {
+        // P_0 notifies the other leaders and its own group, and every
+        // finalizing leader relays to its members — the link that keeps
+        // suppressed members from starving. With one group this is P_0's
+        // broadcast to everyone.
+        if self.cfg.control_messages && self.cfg.optimized_control && self.is_group_leader() {
             self.broadcast_ck_end(out);
         }
     }

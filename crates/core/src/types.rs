@@ -190,17 +190,8 @@ impl TentSet {
         TentSetIter { bits: &self.bits, word: 0, cur: self.bits.first().copied().unwrap_or(0) }
     }
 
-    /// The smallest member, if any. Used by the CK_BGN suppression rule
-    /// (§3.5.1 case 1).
-    pub fn min(&self) -> Option<ProcessId> {
-        self.bits
-            .iter()
-            .position(|&w| w != 0)
-            .map(|wi| ProcessId(wi as u32 * 64 + self.bits[wi].trailing_zeros()))
-    }
-
     /// The smallest member with id in `[lo, hi)`, if any. Used by the
-    /// per-group CK_BGN suppression rule of the hierarchical control layer.
+    /// CK_BGN suppression rule (§3.5.1 case 1) inside a control group.
     pub fn min_in(&self, lo: u32, hi: u32) -> Option<ProcessId> {
         let hi = hi.min(self.n);
         if lo >= hi {
@@ -220,15 +211,10 @@ impl TentSet {
         None
     }
 
-    /// The first process with id `> from` that is **not** in the set, if
-    /// any. Used by the CK_REQ forwarding rule (§3.5.1 case 2).
-    pub fn first_absent_above(&self, from: ProcessId) -> Option<ProcessId> {
-        self.first_absent_in(from.0.checked_add(1)?, self.n)
-    }
-
     /// The first process with id in `[lo, hi)` that is **not** in the set,
-    /// if any. Word-level scan — the hierarchical CK_REQ ring uses this to
-    /// route the token within one group without touching the other words.
+    /// if any. Word-level scan — the CK_REQ forwarding rule (§3.5.1 case 2)
+    /// uses this to route the token within one group without touching the
+    /// other words.
     pub fn first_absent_in(&self, lo: u32, hi: u32) -> Option<ProcessId> {
         let hi = hi.min(self.n);
         if lo >= hi {
@@ -526,8 +512,8 @@ mod tests {
         }
         assert_eq!(s.len(), 4);
         assert!(s.contains(p(69_999)));
-        assert_eq!(s.min(), Some(p(0)));
-        assert_eq!(s.first_absent_above(p(65_534)), Some(p(65_537)));
+        assert_eq!(s.min_in(1, 70_000), Some(p(65_535)));
+        assert_eq!(s.first_absent_in(65_535, 70_000), Some(p(65_537)));
         let d = TentSet::from_bytes(n, &s.to_bytes()).expect("wide universe round-trip");
         assert_eq!(d, s);
     }
@@ -557,14 +543,14 @@ mod tests {
         s.insert(p(1));
         s.insert(p(2));
         s.insert(p(4));
-        assert_eq!(s.min(), Some(p(1)));
-        assert_eq!(s.first_absent_above(p(1)), Some(p(3)));
-        assert_eq!(s.first_absent_above(p(3)), Some(p(5)));
-        assert_eq!(s.first_absent_above(p(5)), None);
+        assert_eq!(s.min_in(0, 6), Some(p(1)));
+        assert_eq!(s.first_absent_in(2, 6), Some(p(3)));
+        assert_eq!(s.first_absent_in(4, 6), Some(p(5)));
+        assert_eq!(s.first_absent_in(6, 6), None);
         // All above present → None.
         s.insert(p(3));
         s.insert(p(5));
-        assert_eq!(s.first_absent_above(p(0)), None);
+        assert_eq!(s.first_absent_in(1, 6), None);
     }
 
     #[test]

@@ -23,21 +23,21 @@ pub struct AppPayload {
     pub len: u32,
 }
 
-/// Control message kinds (paper §3.5.1, plus the hierarchical group wave).
+/// Control message kinds (paper §3.5.1, plus the group report of the
+/// two-tier wave).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CtrlKind {
-    /// "Checkpoint begin": a timed-out process notifies `P_0` (or, under
-    /// the hierarchical topology, its group leader, which escalates).
+    /// "Checkpoint begin": a timed-out process notifies its group leader;
+    /// a leader escalates to `P_0`. With one group the leader is `P_0`.
     CkBgn,
-    /// "Checkpoint request": the token `P_0` circulates to make every
-    /// process take a tentative checkpoint. Hierarchical mode runs one
-    /// token ring per group.
+    /// "Checkpoint request": the token that makes every process take a
+    /// tentative checkpoint. `P_0` starts one token ring per group.
     CkReq,
-    /// "Checkpoint end": `P_0`'s broadcast that finalization may proceed.
-    /// Hierarchical mode relays it leader → members.
+    /// "Checkpoint end": the broadcast that finalization may proceed,
+    /// from `P_0` to the leaders and from each leader to its members.
     CkEnd,
-    /// Hierarchical only: a group leader reports to `P_0` that its
-    /// intra-group `CK_REQ` ring completed.
+    /// A group leader other than `P_0` reports that its intra-group
+    /// `CK_REQ` ring completed (never sent when there is one group).
     CkGrpDone,
 }
 

@@ -71,29 +71,26 @@ proptest! {
         prop_assert_eq!(d, set);
     }
 
+    /// The control wave's two scans — `min_in` (CK_BGN suppression) and
+    /// `first_absent_in` (CK_REQ routing) — agree with a linear scan over
+    /// any `[lo, hi)`, including empty ranges, ranges past the universe
+    /// and ranges that cross word boundaries.
     #[test]
-    fn first_absent_above_is_correct(n in 2usize..100, s in (2usize..100).prop_flat_map(tentset_strategy), from in 0u32..100) {
+    fn ranged_scans_match_linear_scan(
+        n in 1usize..200,
+        s in (1usize..200).prop_flat_map(tentset_strategy),
+        lo in 0u32..220,
+        hi in 0u32..220,
+    ) {
         let mut set = TentSet::empty(n);
         for p in s.iter() {
             if p.index() < n {
                 set.insert(p);
             }
         }
-        let from = ProcessId(from % n as u32);
-        match set.first_absent_above(from) {
-            Some(q) => {
-                prop_assert!(q > from);
-                prop_assert!(!set.contains(q));
-                for k in (from.0 + 1)..q.0 {
-                    prop_assert!(set.contains(ProcessId(k)), "skipped a hole");
-                }
-            }
-            None => {
-                for k in (from.0 + 1)..n as u32 {
-                    prop_assert!(set.contains(ProcessId(k)));
-                }
-            }
-        }
+        let ids = || (lo..hi.min(n as u32)).map(ProcessId);
+        prop_assert_eq!(set.min_in(lo, hi), ids().find(|&q| set.contains(q)));
+        prop_assert_eq!(set.first_absent_in(lo, hi), ids().find(|&q| !set.contains(q)));
     }
 
     // ---------- Wire codec ----------

@@ -553,10 +553,10 @@ pub fn scale_config(n: usize, seed: u64) -> RunConfig {
 /// **E9 — protocol scaling.** Piggyback bytes per application message
 /// under the adaptive tentSet encoding vs the dense `⌈N/8⌉` formula, and
 /// control messages per collected round under the (Auto-selected)
-/// topology: the flat ring up to 512 processes, `⌈√N⌉` groups beyond
-/// (`group_size` is `-` on the flat ring). The trailing columns are what
-/// the simulator paid for the cell: events per application message and,
-/// of those events, the storage wakeups.
+/// topology: the flat ring (one group) up to 512 processes, `⌈√N⌉`
+/// groups beyond (`group_size` is `-` for one group). The trailing
+/// columns are what the simulator paid for the cell: events per
+/// application message and, of those events, the storage wakeups.
 pub fn exp_scale(ns: &[usize], seed: u64) -> RunGrid {
     let mut g = RunGrid::new(
         "E9: scaling — adaptive piggyback + hierarchical control waves",
@@ -590,7 +590,10 @@ pub fn exp_scale(ns: &[usize], seed: u64) -> RunGrid {
                 r.complete_rounds as f64,
                 r.app_messages as f64,
                 r.ctrl_messages as f64,
-                topology.group_size(n).map_or(f64::NAN, f64::from),
+                match topology.group_size(n) {
+                    s if s as usize == n => f64::NAN, // one group: the flat ring
+                    s => f64::from(s),
+                },
                 r.sim_events as f64 / msgs,
                 r.event_census.storage_done as f64,
             ]

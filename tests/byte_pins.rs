@@ -1,8 +1,12 @@
 //! Cross-commit byte pins: FNV-1a 64 digests of `trace_jsonl()` followed by
 //! `metrics_json()` for OCPT under every flush × write policy pair, one
-//! jittered-flush crash-and-recover run and one two-tier (`Grouped{4}`)
-//! run. The constants were recorded before the flush/write policies moved
-//! from the baselines adapter into `OcptProcess`; any change to what the
+//! jittered-flush crash-and-recover run, one two-tier (`Grouped{4}`) run
+//! and two sparse-traffic runs whose convergence timers fire every round,
+//! so the one-group control wave (the paper's flat ring) is pinned with
+//! and without the §3.5.1 reductions. The first eleven constants were
+//! recorded before the flush/write policies moved from the baselines
+//! adapter into `OcptProcess`, the last two before the flat ring became
+//! the one-group case of the grouped wave; any change to what the
 //! protocol emits, in what order, or to its jitter draws moves a digest.
 
 use ocpt::prelude::*;
@@ -77,10 +81,25 @@ fn runs() -> Vec<(String, u64)> {
         ..OcptConfig::default()
     };
     out.push(("grouped4_n12".into(), digest(ocfg, grouped, "ctrl.grp_done_sent")));
+
+    // Sparse traffic and concurrent initiation: timers fire and the
+    // one-group wave (the paper's ring through all N) runs every round,
+    // with and without the §3.5.1 reductions.
+    let mut aligned = base(12, 5);
+    aligned.workload = WorkloadSpec::uniform_mesh(SimDuration::from_millis(40));
+    aligned.stagger_initiation = false;
+    let timeout = SimDuration::from_millis(120);
+    for (name, ocfg, counter) in [
+        ("flat_aligned_n12", OcptConfig::default(), "ctrl.bgn_suppressed"),
+        ("naive_aligned_n12", OcptConfig::naive_control(), "ctrl.bgn_sent"),
+    ] {
+        let ocfg = OcptConfig { convergence_timeout: timeout, ..ocfg };
+        out.push((name.into(), digest(ocfg, aligned.clone(), counter)));
+    }
     out
 }
 
-const PINNED: [(&str, u64); 11] = [
+const PINNED: [(&str, u64); 13] = [
     ("flush_eager_write_immediate", 0xB090_9EAD_23CB_2481),
     ("flush_eager_write_jit", 0x7472_26E6_FD2B_7CF7),
     ("flush_eager_write_phased", 0x3150_6B4A_A52A_16DA),
@@ -92,6 +111,8 @@ const PINNED: [(&str, u64); 11] = [
     ("flush_jit_write_phased", 0x78CC_3B2F_307F_C198),
     ("crash_recover_flush_jit", 0x0E54_EF73_F119_2001),
     ("grouped4_n12", 0x5831_5F82_AB17_E337),
+    ("flat_aligned_n12", 0x5D42_A3EA_DB36_04A6),
+    ("naive_aligned_n12", 0x8215_84AD_5815_AD5D),
 ];
 
 #[test]

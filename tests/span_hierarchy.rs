@@ -83,12 +83,12 @@ fn grouped_trace_derives_round_wave_checkpoint_tree() {
     assert_hierarchical_shape(&f, &spans);
 }
 
-/// N = 600 under `Auto { threshold: 512 }` shards into ⌈√600⌉-sized
-/// groups; the derived span tree keeps the flat-ring shape and the
-/// critical-path analyzer labels the rounds as grouped.
+/// N = 600 under `Auto` shards into ⌈√600⌉-sized groups; the derived span
+/// tree keeps the flat-ring shape and the critical-path analyzer labels
+/// the rounds as grouped.
 #[test]
 fn auto_above_threshold_trace_derives_spans_at_n600() {
-    let r = traced_run(600, 21, ControlTopology::Auto { threshold: 512 });
+    let r = traced_run(600, 21, ControlTopology::Auto);
     assert!(r.counters.get("ctrl.grp_done_sent") > 0, "N=600 should shard");
     let (f, spans) = spans_of(&r);
     assert_hierarchical_shape(&f, &spans);
